@@ -26,7 +26,7 @@ from .characters import (
     character_jt,
     product_of_variables,
 )
-from .growth import apply_local, greene_oracle, grow_grid, invert_local
+from .growth import apply_local, check_weight_matrix, greene_oracle, grow_grid, invert_local
 from .lpp import (
     EnumerationBudgetError,
     Filling,
@@ -48,10 +48,9 @@ _ENV_PREFIX = "LPPQS_"
 
 
 def _env_default(name: str, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return type(fallback)(raw) if fallback is not None else raw
+    """The raw LPPQS_<name> string, else fallback; argparse applies the
+    option's type to a string default, so a bad value is a usage error."""
+    return os.environ.get(_ENV_PREFIX + name, fallback)
 
 
 # --- verification suites ------------------------------------------------------
@@ -202,6 +201,7 @@ def cmd_verify(args) -> int:
         print(f"error: --scope {args.scope} needs an even --u", file=sys.stderr)
         return 2
     results = []
+    seconds = []  # wall clock per result, shown in text output only
     show_polys = args.n is not None and args.u is not None
 
     def run(scope, label, fn, *fargs):
@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
             raise
         except ValueError as exc:
             res = {"ok": False, "error": str(exc)}
-        res["seconds"] = round(time.perf_counter() - t0, 3)
+        seconds.append(round(time.perf_counter() - t0, 3))
         res["scope"] = scope
         res["label"] = label
         results.append(res)
@@ -257,9 +257,9 @@ def cmd_verify(args) -> int:
         _emit(json.dumps(out, sort_keys=True), args.output)
     else:
         lines = []
-        for r in results:
+        for r, secs in zip(results, seconds):
             status = "PASS" if r["ok"] else "FAIL"
-            lines.append(f"[{r['scope']}] {r['label']}: {status} ({r['seconds']}s)")
+            lines.append(f"[{r['scope']}] {r['label']}: {status} ({secs}s)")
             if show_polys and "lhs" in r:
                 lines.append(f"  lhs = {r['lhs']}")
                 lines.append(f"  rhs = {r['rhs']}")
@@ -298,6 +298,7 @@ def cmd_rsk(args) -> int:
                 [int(tok) for tok in line.split()]
                 for line in text.strip().splitlines()
             ]
+            check_weight_matrix(obj)
         elif forward:
             obj = Filling.from_text(args.geometry, text)
         else:
@@ -351,6 +352,9 @@ def cmd_cdf(args) -> int:
         return 2
     if not 0 < y < 1:
         print("error: --y must lie strictly between 0 and 1", file=sys.stderr)
+        return 2
+    if args.u_max < 0:
+        print("error: --u-max must be non-negative", file=sys.stderr)
         return 2
     geo = Geometry(args.geometry, args.n)
     rows = []
@@ -445,12 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env_default("NODE_BUDGET", 2_000_000),
         help="enumeration node budget (env LPPQS_NODE_BUDGET)",
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=_env_default("THREADS", 1),
-        help="worker cap; accepted for interface stability, current suites are single-threaded",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common],
@@ -504,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except (EnumerationBudgetError, ValueError) as exc:

@@ -155,8 +155,9 @@ class GrowthGrid:
         return f"GrowthGrid(dims={self.dims}, rule={self.rule!r})"
 
 
-def grow_grid(weights: Sequence[Sequence[int]], rule: str) -> GrowthGrid:
-    """Grow the full rectangle of a weight matrix with the chosen rule."""
+def check_weight_matrix(weights: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Shape (m, n) of a non-empty rectangular non-negative matrix; raises
+    ValueError otherwise."""
     m = len(weights)
     n = len(weights[0]) if m else 0
     if m < 1 or n < 1:
@@ -165,6 +166,12 @@ def grow_grid(weights: Sequence[Sequence[int]], rule: str) -> GrowthGrid:
         raise ValueError("ragged weight matrix")
     if any(w < 0 for row in weights for w in row):
         raise ValueError("weights must be non-negative")
+    return m, n
+
+
+def grow_grid(weights: Sequence[Sequence[int]], rule: str) -> GrowthGrid:
+    """Grow the full rectangle of a weight matrix with the chosen rule."""
+    m, n = check_weight_matrix(weights)
     entries = [[EMPTY] * (n + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):
         for j in range(1, n + 1):

@@ -344,8 +344,8 @@ def oscillating_tableau(filling: Filling) -> OscillatingTableau:
     n = geo.n
     pts = _grow_p2hlr(filling)
     entries = {}
-    for k in range(1, 2 * n + 1):
-        part = pts[_chain_points(n)[k]]
+    for k, pt in enumerate(_chain_points(n)):
+        part = pts[pt]
         m = (k + 1) // 2
         for i in range(1, m + 1):
             entries[(i, 2 * n - k + i)] = part[m - i]
@@ -357,24 +357,22 @@ def bz_map(obj, u: int, direction: str = "forward"):
 
     forward: Filling (p2hlr, passage time <= u) -> SpGTPattern of height 2n
     with first part of the shape <= u.  inverse: the reverse.  The map is
-    growth along the triangle, extraction of the boundary chain, and
-    entrywise subtraction from u along diagonals.
+    growth along the triangle, extraction of the boundary chain (the
+    oscillating tableau), and entrywise subtraction from u along diagonals.
     """
     if direction == "forward":
         filling = obj
         if not isinstance(filling, Filling) or filling.geometry.kind != P2HLR:
             raise ValueError("forward direction expects a p2hlr filling")
-        n = filling.geometry.n
         time = lpp_time(filling)
         if time > u:
             raise ValueError(f"passage time {time} exceeds the bound {u}")
-        pts = _grow_p2hlr(filling)
-        chain_pts = _chain_points(n)
-        rows = []
-        for k in range(1, 2 * n + 1):
-            part = pts[chain_pts[k]]
-            m = (k + 1) // 2
-            rows.append(tuple(u - part[m - 1 - jj] for jj in range(m)))
+        tableau = oscillating_tableau(filling)
+        n = tableau.n
+        rows = [
+            tuple(u - tableau.entries[(i, 2 * n - k + i)] for i in range(1, (k + 1) // 2 + 1))
+            for k in range(1, 2 * n + 1)
+        ]
         return SpGTPattern(rows)
 
     if direction == "inverse":

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lpp import KINDS, Filling, Geometry, generating_series
+from .lpp import KINDS, Geometry, generating_series
 
 _GEOMETRY_CODE = {kind: idx + 1 for idx, kind in enumerate(KINDS)}
 _MASK64 = (1 << 64) - 1
@@ -135,18 +135,6 @@ def sample_passage_times(spec: GeometricSpec, n_samples: int) -> np.ndarray:
             best = cur.copy() if best is None else np.maximum(best, cur)
     assert best is not None
     return best
-
-
-def sample_filling(spec: GeometricSpec, sample_index: int, n_samples: int) -> Filling:
-    """The sample_index-th filling of the stream (for demos and spot checks)."""
-    geo = spec.geometry
-    y = float(spec.y)
-    weights = {}
-    for s, (i, j) in enumerate(geo.squares()):
-        p = y ** sum(geo.variable_exponent(i, j))
-        draws = _geometric_draws(_square_stream(spec.seed, geo.kind, s), p, n_samples)
-        weights[(i, j)] = int(draws[sample_index])
-    return Filling(geo, weights)
 
 
 def _moments(data: np.ndarray) -> tuple[float, float, float]:

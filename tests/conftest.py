@@ -2,27 +2,10 @@ import random
 
 import pytest
 
-from lppqs.lpp import Filling, Geometry, lpp_time
+# the CLI's own random-input generators, imported by the tests from here
+from lppqs.cli import random_cover, random_filling, random_partition  # noqa: F401
+from lppqs.lpp import Geometry, lpp_time
 from lppqs.partitions import EMPTY, GTPattern, Partition, SpGTPattern
-
-
-def random_partition(rng, max_len=4, max_part=6):
-    parts = sorted(
-        (rng.randint(0, max_part) for _ in range(rng.randint(0, max_len))),
-        reverse=True,
-    )
-    return Partition(parts)
-
-
-def random_cover(rng, kappa, slack=4):
-    """Random partition interlacing above kappa."""
-    length = len(kappa) + rng.randint(0, 1)
-    parts = []
-    for i in range(length):
-        lo = kappa[i]
-        hi = kappa[i - 1] if i >= 1 else lo + rng.randint(0, slack)
-        parts.append(rng.randint(lo, hi))
-    return Partition(parts)
 
 
 def random_gt_pattern(rng, height, max_part=5):
@@ -45,14 +28,6 @@ def random_spgt_pattern(rng, n, max_part=5):
             nxt = Partition(nxt.parts[:cap])
         chain.append(nxt)
     return SpGTPattern.from_chain(chain)
-
-
-def random_filling(geometry, rng, max_entry=2, density=0.4):
-    weights = {
-        sq: (rng.randint(1, max_entry) if rng.random() < density else 0)
-        for sq in geometry.squares()
-    }
-    return Filling(geometry, weights)
 
 
 def random_bounded_filling(rng, kind="p2hlr", max_n=3, max_u=4):

@@ -185,3 +185,43 @@ def test_environment_variable_defaults(tmp_path):
     )
     assert res.returncode == 0
     assert res.stdout.splitlines()[0] == "bound,prob"
+
+
+def test_non_integer_environment_default_is_a_usage_error():
+    import os
+
+    for var in ("LPPQS_NODE_BUDGET", "LPPQS_SEED"):
+        env = dict(os.environ, **{var: "abc"})
+        res = subprocess.run(
+            [sys.executable, "-m", "lppqs", "verify", "--scope", "greene", "--trials", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert res.returncode == 2, var
+        assert "invalid int value: 'abc'" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_cdf_rejects_negative_u_max():
+    res = run_cli("cdf", "--geometry", "p2pr", "--n", "1", "--y", "1/2", "--u-max", "-3")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: --u-max")
+
+
+def test_rsk_bad_matrix_exit_two(tmp_path):
+    for name, text in (("ragged", "1 2\n3\n"), ("empty", "\n"), ("negative", "1 -1\n0 2\n")):
+        f = tmp_path / f"{name}.txt"
+        f.write_text(text)
+        res = run_cli("rsk", "--geometry", "matrix-row", "--input", str(f))
+        assert res.returncode == 2, name
+        assert res.stderr.startswith("error: cannot parse input"), name
+        assert "Traceback" not in res.stderr
+
+
+def test_verify_json_byte_identical():
+    args = ("verify", "--scope", "okada", "--n", "2", "--u", "3", "--format", "json")
+    a = run_cli(*args)
+    b = run_cli(*args)
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    assert "seconds" not in a.stdout
