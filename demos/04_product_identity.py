@@ -11,10 +11,8 @@ four gives the product identity checked at the end.
 
 from lppqs import (
     Geometry,
-    LaurentPolynomial,
     Partition,
-    bounded_schur_sum,
-    box_partitions,
+    bounded_character_sum,
     character_jt,
     generating_series,
     okada_product,
@@ -31,9 +29,7 @@ pl = generating_series(Geometry("p2l", n), v)
 print(f"n = {n}, bound u = {u} (so v = {v})")
 print()
 
-sp_sum = LaurentPolynomial.zero(n)
-for lam in box_partitions(u, n):
-    sp_sum = sp_sum + character_jt("symplectic", lam, n)
+sp_sum = bounded_character_sum("symplectic", u, n)
 step1 = product_of_variables(n, u) * sp_sum
 print("1. quarter-square series = (x1...xn)^u * bounded symplectic sum:",
       hlr == step1)
@@ -43,17 +39,17 @@ print("2. bounded symplectic sum = product of two rectangular characters:",
       lhs == rhs)
 
 rect = Partition([v] * n)
-s3a = bounded_schur_sum(u, n) == product_of_variables(n, v) * character_jt(
-    "odd_orthogonal", rect, n
-)
-s3b = bounded_schur_sum(u, n, even_rows_only=True) == product_of_variables(
+s3a = bounded_character_sum("schur", u, n) == product_of_variables(
     n, v
-) * character_jt("symplectic", rect, n)
+) * character_jt("odd_orthogonal", rect, n)
+s3b = bounded_character_sum(
+    "schur", u, n, even_rows_only=True
+) == product_of_variables(n, v) * character_jt("symplectic", rect, n)
 print("3. rectangular characters = bounded Schur sums (all / even rows):",
       s3a and s3b)
 
-s4a = pr == bounded_schur_sum(u, n)
-s4b = pl == bounded_schur_sum(u, n, even_rows_only=True)
+s4a = pr == bounded_character_sum("schur", u, n)
+s4b = pl == bounded_character_sum("schur", u, n, even_rows_only=True)
 print("4. bounded Schur sums = the two smaller generating series:", s4a and s4b)
 
 print()

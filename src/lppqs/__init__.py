@@ -8,7 +8,7 @@ probes its KPZ-scale consequences by seeded Monte Carlo.
 
 from .characters import (
     LaurentPolynomial,
-    bounded_schur_sum,
+    bounded_character_sum,
     box_partitions,
     character_jt,
     character_tab,
@@ -76,7 +76,7 @@ __all__ = [
     "SimulationReport",
     "SpGTPattern",
     "Tableau",
-    "bounded_schur_sum",
+    "bounded_character_sum",
     "box_partitions",
     "bz_map",
     "character_jt",

@@ -429,13 +429,16 @@ def box_partitions(
         yield Partition(t)
 
 
-def bounded_schur_sum(u: int, n: int, even_rows_only: bool = False) -> LaurentPolynomial:
-    """Sum of Schur polynomials over the u-by-n box, optionally even-row only."""
+def bounded_character_sum(
+    family: str, u: int, n: int, even_rows_only: bool = False
+) -> LaurentPolynomial:
+    """Sum of one family's characters over the u-by-n box, optionally
+    over even-row shapes only."""
     if u < 0:
         raise ValueError("bound must be non-negative")
     total = LaurentPolynomial.zero(n)
     for lam in box_partitions(u, n, even_rows_only):
-        total = total + character_jt(SCHUR, lam, n)
+        total = total + character_jt(family, lam, n)
     return total
 
 
@@ -446,11 +449,7 @@ def okada_product(u: int, n: int) -> tuple[LaurentPolynomial, LaurentPolynomial]
     Right: sp over the floor(u/2)^n rectangle times the odd orthogonal
     character over the ceil(u/2)^n rectangle.
     """
-    if u < 0:
-        raise ValueError("bound must be non-negative")
-    lhs = LaurentPolynomial.zero(n)
-    for lam in box_partitions(u, n):
-        lhs = lhs + character_jt(SYMPLECTIC, lam, n)
+    lhs = bounded_character_sum(SYMPLECTIC, u, n)
     s, t = u // 2, (u + 1) // 2
     rhs = character_jt(SYMPLECTIC, Partition([s] * n), n) * character_jt(
         ODD_ORTHOGONAL, Partition([t] * n), n

@@ -20,10 +20,9 @@ import time
 from fractions import Fraction
 
 from .characters import (
-    LaurentPolynomial,
-    bounded_schur_sum,
-    box_partitions,
+    bounded_character_sum,
     character_jt,
+    okada_product,
     product_of_variables,
 )
 from .growth import apply_local, check_weight_matrix, greene_oracle, grow_grid, invert_local
@@ -44,34 +43,29 @@ from .probability import (
     sample_lpp,
 )
 
-_ENV_PREFIX = "LPPQS_"
-
-
-def _env_default(name: str, fallback):
-    """The raw LPPQS_<name> string, else fallback; argparse applies the
-    option's type to a string default, so a bad value is a usage error."""
-    return os.environ.get(_ENV_PREFIX + name, fallback)
+FORMATS = ("text", "json", "csv")
+SCOPES = ("theorem", "okada", "stembridge", "greene", "roundtrips")
 
 
 # --- verification suites ------------------------------------------------------
+# The three instance suites share one signature (n, u, node_budget); only the
+# theorem suite enumerates, so only it reads the budget.
 
 
-def _theorem_instance(n: int, u: int, budget: int) -> dict:
+def _theorem_instance(n: int, u: int, node_budget: int) -> dict:
     """Product identity plus the two route identities behind it at one size."""
     if u % 2:
         raise ValueError("the product identity needs even u")
-    hlr = generating_series(Geometry("p2hlr", n), u, node_budget=budget)
-    pr = generating_series(Geometry("p2pr", n), u, node_budget=budget)
-    pl = generating_series(Geometry("p2l", n), u // 2, node_budget=budget)
+    hlr = generating_series(Geometry("p2hlr", n), u, node_budget=node_budget)
+    pr = generating_series(Geometry("p2pr", n), u, node_budget=node_budget)
+    pl = generating_series(Geometry("p2l", n), u // 2, node_budget=node_budget)
     product = pr * pl
-    sp_sum = LaurentPolynomial.zero(n)
-    for lam in box_partitions(u, n):
-        sp_sum = sp_sum + character_jt("symplectic", lam, n)
+    sp_sum = bounded_character_sum("symplectic", u, n)
     checks = {
         "product": hlr == product,
         "half_pattern_series": hlr == product_of_variables(n, u) * sp_sum,
-        "schur_series": pr == bounded_schur_sum(u, n, even_rows_only=False),
-        "even_schur_series": pl == bounded_schur_sum(u, n, even_rows_only=True),
+        "schur_series": pr == bounded_character_sum("schur", u, n),
+        "even_schur_series": pl == bounded_character_sum("schur", u, n, even_rows_only=True),
     }
     return {
         "n": n,
@@ -83,17 +77,15 @@ def _theorem_instance(n: int, u: int, budget: int) -> dict:
     }
 
 
-def _okada_instance(n: int, u: int) -> dict:
-    from .characters import okada_product
-
+def _okada_instance(n: int, u: int, _node_budget: int) -> dict:
     lhs, rhs = okada_product(u, n)
     return {"n": n, "u": u, "ok": lhs == rhs}
 
 
-def _stembridge_instance(n: int, u: int) -> dict:
+def _stembridge_instance(n: int, u: int, _node_budget: int) -> dict:
     v = u // 2
-    full = bounded_schur_sum(u, n, even_rows_only=False)
-    even = bounded_schur_sum(u, n, even_rows_only=True)
+    full = bounded_character_sum("schur", u, n)
+    even = bounded_character_sum("schur", u, n, even_rows_only=True)
     ok = full == product_of_variables(n, v) * character_jt(
         "odd_orthogonal", Partition([v] * n), n
     ) and even == product_of_variables(n, v) * character_jt(
@@ -188,28 +180,35 @@ def _roundtrip_suite(local_trials: int, map_trials: int, seed: int) -> dict:
     }
 
 
+# scope -> (check at one size, default (n, u) sizes)
+INSTANCE_SUITES = {
+    "theorem": (_theorem_instance, [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]),
+    "okada": (_okada_instance, [(n, u) for n in (1, 2, 3) for u in range(0, 7)]),
+    "stembridge": (_stembridge_instance, [(n, u) for n in (1, 2, 3) for u in (0, 2, 4, 6)]),
+}
+
+
 def cmd_verify(args) -> int:
-    scopes = (
-        ["theorem", "okada", "stembridge", "greene", "roundtrips"]
-        if args.scope == "all"
-        else [args.scope]
-    )
-    if args.u is not None and args.u < 0:
-        print("error: --u must be non-negative", file=sys.stderr)
+    scopes = SCOPES if args.scope == "all" else (args.scope,)
+    if (args.n is None) != (args.u is None):
+        print("error: give --n and --u together", file=sys.stderr)
         return 2
-    if args.scope in ("theorem", "stembridge") and args.u is not None and args.u % 2:
+    for flag, value, least in (("--n", args.n, 1), ("--u", args.u, 0),
+                               ("--trials", args.trials, 1), ("--max-dim", args.max_dim, 1)):
+        if value is not None and value < least:
+            print(f"error: {flag} must be at least {least}", file=sys.stderr)
+            return 2
+    if args.scope in ("theorem", "stembridge", "all") and args.u is not None and args.u % 2:
         print(f"error: --scope {args.scope} needs an even --u", file=sys.stderr)
         return 2
     results = []
     seconds = []  # wall clock per result, shown in text output only
-    show_polys = args.n is not None and args.u is not None
+    show_polys = args.n is not None
 
     def run(scope, label, fn, *fargs):
         t0 = time.perf_counter()
         try:
             res = fn(*fargs)
-        except EnumerationBudgetError:
-            raise
         except ValueError as exc:
             res = {"ok": False, "error": str(exc)}
         seconds.append(round(time.perf_counter() - t0, 3))
@@ -218,43 +217,27 @@ def cmd_verify(args) -> int:
         results.append(res)
 
     for scope in scopes:
-        if scope == "theorem":
-            instances = (
-                [(args.n, args.u)]
-                if show_polys
-                else [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]
-            )
-            for n, u in instances:
-                run(scope, f"n={n} u={u}", _theorem_instance, n, u, args.node_budget)
-        elif scope == "okada":
-            instances = (
-                [(args.n, args.u)]
-                if show_polys
-                else [(n, u) for n in (1, 2, 3) for u in range(0, 7)]
-            )
-            for n, u in instances:
-                run(scope, f"n={n} u={u}", _okada_instance, n, u)
-        elif scope == "stembridge":
-            instances = (
-                [(args.n, args.u)]
-                if show_polys
-                else [(n, u) for n in (1, 2, 3) for u in (0, 2, 4, 6)]
-            )
-            for n, u in instances:
-                run(scope, f"n={n} u={u}", _stembridge_instance, n, u)
+        if scope in INSTANCE_SUITES:
+            fn, defaults = INSTANCE_SUITES[scope]
+            for n, u in [(args.n, args.u)] if show_polys else defaults:
+                run(scope, f"n={n} u={u}", fn, n, u, args.node_budget)
         elif scope == "greene":
-            run(scope, f"trials={args.trials or 200}", _greene_suite,
-                args.trials or 200, args.max_dim, args.seed)
-        elif scope == "roundtrips":
+            trials = args.trials or 200
+            run(scope, f"trials={trials}", _greene_suite, trials, args.max_dim, args.seed)
+        else:
             local = args.trials or 1000
-            maps = max(1, (args.trials or 1000) // 2)
-            run(scope, f"local={local} maps={maps}", _roundtrip_suite,
-                local, maps, args.seed)
+            maps = max(1, local // 2)
+            run(scope, f"local={local} maps={maps}", _roundtrip_suite, local, maps, args.seed)
 
     all_ok = all(r["ok"] for r in results)
     if args.format == "json":
         out = {"results": results, "all_pass": all_ok}
         _emit(json.dumps(out, sort_keys=True), args.output)
+    elif args.format == "csv":
+        lines = ["scope,label,ok"] + [
+            f"{r['scope']},{r['label']},{str(r['ok']).lower()}" for r in results
+        ]
+        _emit("\n".join(lines), args.output)
     else:
         lines = []
         for r, secs in zip(results, seconds):
@@ -340,13 +323,9 @@ def cmd_rsk(args) -> int:
 # --- probability drivers --------------------------------------------------------
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def cmd_cdf(args) -> int:
     try:
-        y = _parse_rational(args.y)
+        y = Fraction(args.y)
     except (ValueError, ZeroDivisionError):
         print(f"error: cannot parse --y {args.y!r} as a rational", file=sys.stderr)
         return 2
@@ -381,10 +360,12 @@ def cmd_simulate(args) -> int:
     if (args.q is None) == (args.y is None):
         print("error: give exactly one of --q or --y", file=sys.stderr)
         return 2
-    y = float(args.y) if args.y is not None else float(args.q) ** 0.5
-    if not 0 < y < 1:
+    # test the given parameter before the square root: a negative q has a
+    # complex root, which does not compare with 0 and 1
+    if not 0 < (args.q if args.y is None else args.y) < 1:
         print("error: parameter must lie strictly between 0 and 1", file=sys.stderr)
         return 2
+    y = args.y if args.y is not None else args.q ** 0.5
 
     if args.factorization:
         rep = factorization_report(
@@ -428,73 +409,77 @@ def _emit(text: str, output: str | None):
         print(text)
 
 
+def _format_name(text: str) -> str:
+    if text not in FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(FORMATS)})"
+        )
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lppqs",
         description="Exact identities and simulation for planar last passage percolation.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=["text", "json", "csv"],
-        default=_env_default("FORMAT", "text"),
-        help="output format (env LPPQS_FORMAT)",
-    )
-    common.add_argument(
-        "--output", default=_env_default("OUTPUT", None), help="output file, '-' = stdout"
-    )
-    common.add_argument(
-        "--node-budget",
-        type=int,
-        default=_env_default("NODE_BUDGET", 2_000_000),
-        help="enumeration node budget (env LPPQS_NODE_BUDGET)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run exact identity and round-trip suites")
-    p.add_argument(
-        "--scope",
-        required=True,
-        choices=["theorem", "okada", "stembridge", "greene", "roundtrips", "all"],
-    )
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--u", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--max-dim", type=int, default=5)
-    p.add_argument("--seed", type=int, default=_env_default("SEED", 0))
-    p.set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", help="run exact identity and round-trip suites")
+    verify.add_argument("--scope", required=True, choices=[*SCOPES, "all"])
+    verify.add_argument("--n", type=int, default=None)
+    verify.add_argument("--u", type=int, default=None)
+    verify.add_argument("--trials", type=int, default=None)
+    verify.add_argument("--max-dim", type=int, default=5)
+    verify.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("rsk", parents=[common], help="apply a growth bijection to a filling file")
-    p.add_argument(
+    rsk = sub.add_parser("rsk", help="apply a growth bijection to a filling file")
+    rsk.add_argument(
         "--geometry",
         required=True,
         choices=["p2hlr", "p2l", "matrix-row", "matrix-col"],
     )
-    p.add_argument("--direction", choices=["forward", "inverse"], default="forward")
-    p.add_argument("--u", type=int, default=None, help="bound for the p2hlr bijection")
-    p.add_argument("--input", required=True, help="filling/pattern file, '-' = stdin")
-    p.add_argument("--roundtrip", action="store_true",
-                   help="apply forward then inverse and exit 0 iff identical")
-    p.set_defaults(func=cmd_rsk)
+    rsk.add_argument("--direction", choices=["forward", "inverse"], default="forward")
+    rsk.add_argument("--u", type=int, default=None, help="bound for the p2hlr bijection")
+    rsk.add_argument("--input", required=True, help="filling/pattern file, '-' = stdin")
+    rsk.add_argument("--roundtrip", action="store_true",
+                     help="apply forward then inverse and exit 0 iff identical")
+    rsk.set_defaults(func=cmd_rsk)
 
-    p = sub.add_parser("cdf", parents=[common], help="exact distribution table of the passage time")
-    p.add_argument("--geometry", required=True, choices=["p2hlr", "p2pr", "p2l"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--y", required=True, help="rational like 1/2 (all x_i = y)")
-    p.add_argument("--u-max", type=int, required=True)
-    p.set_defaults(func=cmd_cdf)
+    cdf = sub.add_parser("cdf", help="exact distribution table of the passage time")
+    cdf.add_argument("--geometry", required=True, choices=["p2hlr", "p2pr", "p2l"])
+    cdf.add_argument("--n", type=int, required=True)
+    cdf.add_argument("--y", required=True, help="rational like 1/2 (all x_i = y)")
+    cdf.add_argument("--u-max", type=int, required=True)
+    cdf.set_defaults(func=cmd_cdf)
 
-    p = sub.add_parser("simulate", parents=[common], help="seeded Monte Carlo for the passage time")
-    p.add_argument("--geometry", choices=["p2hlr", "p2pr", "p2l"], default="p2hlr")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=float, default=None, help="geometric parameter (y = sqrt(q))")
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=_env_default("SEED", 0))
-    p.add_argument("--factorization", action="store_true",
-                   help="compare the three empirical laws instead of one run")
-    p.set_defaults(func=cmd_simulate)
+    simulate = sub.add_parser("simulate", help="seeded Monte Carlo for the passage time")
+    simulate.add_argument("--geometry", choices=["p2hlr", "p2pr", "p2l"], default="p2hlr")
+    simulate.add_argument("--n", type=int, required=True)
+    simulate.add_argument("--q", type=float, default=None,
+                          help="geometric parameter (y = sqrt(q))")
+    simulate.add_argument("--y", type=float, default=None)
+    simulate.add_argument("--samples", type=int, default=10000)
+    simulate.add_argument("--factorization", action="store_true",
+                          help="compare the three empirical laws instead of one run")
+    simulate.set_defaults(func=cmd_simulate)
+
+    # LPPQS_* defaults are passed as the raw environment strings: argparse
+    # applies an option's type to a string default, so a bad value is a
+    # usage error (exit 2) like a bad flag.
+    for p in (verify, rsk, cdf, simulate):
+        p.add_argument("--output", default=os.environ.get("LPPQS_OUTPUT"),
+                       help="output file, '-' = stdout (env LPPQS_OUTPUT)")
+    for p in (verify, cdf, simulate):
+        p.add_argument("--format", type=_format_name, metavar="{text,json,csv}",
+                       default=os.environ.get("LPPQS_FORMAT", "text"),
+                       help="output format (env LPPQS_FORMAT)")
+    for p in (verify, simulate):
+        p.add_argument("--seed", type=int, default=os.environ.get("LPPQS_SEED", 0),
+                       help="random seed (env LPPQS_SEED)")
+    for p in (verify, cdf):
+        p.add_argument("--node-budget", type=int,
+                       default=os.environ.get("LPPQS_NODE_BUDGET", 2_000_000),
+                       help="enumeration node budget (env LPPQS_NODE_BUDGET)")
 
     return parser
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .characters import LaurentPolynomial
-from .growth import COL, ROW, apply_local, invert_local
+from .growth import COL, ROW, apply_local, grow_grid, invert_local
 from .partitions import EMPTY, GTPattern, Partition, SpGTPattern
 
 P2HLR = "p2hlr"
@@ -146,9 +146,6 @@ class Filling:
     def __repr__(self) -> str:
         nz = {sq: w for sq, w in self.weights.items() if w}
         return f"Filling({self.geometry!r}, {nz})"
-
-    def total(self) -> int:
-        return sum(self.weights.values())
 
     # plain text grid: one line per row j, top row first; '-' marks squares
     # outside the domain; columns i = 1..n
@@ -451,18 +448,11 @@ def p2l_map(obj, direction: str = "forward"):
         filling = obj
         if not isinstance(filling, Filling) or filling.geometry.kind != P2L:
             raise ValueError("forward direction expects a p2l filling")
-        n = filling.geometry.n
-        mat = _p2l_matrix(filling)
-        pts = [[EMPTY] * (n + 1) for _ in range(n + 1)]
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                pts[i][j] = apply_local(
-                    COL, pts[i - 1][j], pts[i][j - 1], pts[i - 1][j - 1], mat[i - 1][j - 1]
-                )
-        for i in range(n + 1):
-            if pts[i][n] != pts[n][i]:
-                raise AssertionError("symmetric input grew an asymmetric diagram")
-        return GTPattern.from_chain([pts[i][n] for i in range(n + 1)])
+        grid = grow_grid(_p2l_matrix(filling), COL)
+        north = grid.north_chain()
+        if north != grid.east_chain():
+            raise AssertionError("symmetric input grew an asymmetric diagram")
+        return GTPattern.from_chain(north)
 
     if direction == "inverse":
         z = obj

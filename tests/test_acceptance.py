@@ -15,7 +15,7 @@ import pytest
 from conftest import random_bounded_filling, random_cover, random_filling, random_partition
 from lppqs.characters import (
     LaurentPolynomial as LP,
-    bounded_schur_sum,
+    bounded_character_sum,
     box_partitions,
     character_jt,
     character_tab,
@@ -70,8 +70,8 @@ def test_criterion_2_route_identities():
         ok = ok and hlr == product_of_variables(n, u) * sp_sum
         pr = generating_series(Geometry("p2pr", n), u)
         pl = generating_series(Geometry("p2l", n), u // 2)
-        ok = ok and pr == bounded_schur_sum(u, n, even_rows_only=False)
-        ok = ok and pl == bounded_schur_sum(u, n, even_rows_only=True)
+        ok = ok and pr == bounded_character_sum("schur", u, n)
+        ok = ok and pl == bounded_character_sum("schur", u, n, even_rows_only=True)
     # bounded symplectic sum product form, both parities
     for n in (1, 2, 3):
         for u in range(0, 7):
@@ -82,10 +82,10 @@ def test_criterion_2_route_identities():
         for u in (0, 2, 4, 6):
             v = u // 2
             rect = Partition([v] * n)
-            ok = ok and bounded_schur_sum(u, n) == product_of_variables(
+            ok = ok and bounded_character_sum("schur", u, n) == product_of_variables(
                 n, v
             ) * character_jt("odd_orthogonal", rect, n)
-            ok = ok and bounded_schur_sum(u, n, even_rows_only=True) == (
+            ok = ok and bounded_character_sum("schur", u, n, even_rows_only=True) == (
                 product_of_variables(n, v) * character_jt("symplectic", rect, n)
             )
     elapsed = time.time() - t0

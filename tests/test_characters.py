@@ -4,7 +4,7 @@ import pytest
 
 from lppqs.characters import (
     LaurentPolynomial as LP,
-    bounded_schur_sum,
+    bounded_character_sum,
     box_partitions,
     character_jt,
     character_tab,
@@ -133,10 +133,11 @@ def test_bc_symmetry_under_inversions(family):
                 assert ch.invert_variable(i) == ch
 
 
-def test_bounded_schur_sum_examples():
-    assert bounded_schur_sum(0, 2) == LP.one(2)
-    assert bounded_schur_sum(2, 1) == 1 + x + x**2
-    assert bounded_schur_sum(2, 1, even_rows_only=True) == 1 + x**2
+def test_bounded_character_sum_examples():
+    assert bounded_character_sum("schur", 0, 2) == LP.one(2)
+    assert bounded_character_sum("schur", 2, 1) == 1 + x + x**2
+    assert bounded_character_sum("schur", 2, 1, even_rows_only=True) == 1 + x**2
+    assert bounded_character_sum("symplectic", 1, 1) == 1 + x + xinv
 
 
 def test_bounded_sums_equal_rectangular_characters():
@@ -144,12 +145,12 @@ def test_bounded_sums_equal_rectangular_characters():
         for u in (0, 2, 4):
             v = u // 2
             rect = Partition([v] * n)
-            assert bounded_schur_sum(u, n) == product_of_variables(n, v) * character_jt(
-                "odd_orthogonal", rect, n
-            )
-            assert bounded_schur_sum(u, n, even_rows_only=True) == product_of_variables(
+            assert bounded_character_sum("schur", u, n) == product_of_variables(
                 n, v
-            ) * character_jt("symplectic", rect, n)
+            ) * character_jt("odd_orthogonal", rect, n)
+            assert bounded_character_sum(
+                "schur", u, n, even_rows_only=True
+            ) == product_of_variables(n, v) * character_jt("symplectic", rect, n)
 
 
 def test_okada_examples():

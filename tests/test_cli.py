@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 
 def run_cli(*args, input_text=None):
@@ -225,3 +228,141 @@ def test_verify_json_byte_identical():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert "seconds" not in a.stdout
+
+
+def test_options_belong_to_the_subcommands_that_read_them(tmp_path):
+    f = tmp_path / "w.txt"
+    f.write_text("3\n")
+    for args in (
+        ("rsk", "--geometry", "p2l", "--input", str(f), "--format", "json"),
+        ("rsk", "--geometry", "p2l", "--input", str(f), "--node-budget", "5"),
+        ("simulate", "--n", "2", "--y", "0.5", "--samples", "10", "--node-budget", "5"),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert "unrecognized arguments" in res.stderr
+
+
+def test_verify_csv_lists_one_row_per_result():
+    res = run_cli("verify", "--scope", "okada", "--n", "1", "--u", "1", "--format", "csv")
+    assert res.returncode == 0
+    assert res.stdout.splitlines() == ["scope,label,ok", "okada,n=1 u=1,true"]
+
+
+def test_invalid_format_environment_default_is_a_usage_error():
+    import os
+
+    env = dict(os.environ, LPPQS_FORMAT="xml")
+    res = subprocess.run(
+        [sys.executable, "-m", "lppqs", "cdf", "--geometry", "p2pr", "--n", "1",
+         "--y", "1/2", "--u-max", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "invalid choice: 'xml'" in res.stderr
+
+
+def test_verify_bad_sizes_are_usage_errors():
+    for args in (
+        ("--scope", "okada", "--n", "1"),
+        ("--scope", "okada", "--u", "2"),
+        ("--scope", "okada", "--n", "-1", "--u", "2"),
+        ("--scope", "theorem", "--n", "0", "--u", "2"),
+        ("--scope", "okada", "--n", "1", "--u", "-1"),
+        ("--scope", "greene", "--max-dim", "0"),
+        ("--scope", "roundtrips", "--trials", "-3"),
+        ("--scope", "all", "--n", "1", "--u", "1", "--trials", "2"),
+    ):
+        res = run_cli("verify", *args)
+        assert res.returncode == 2, args
+        assert res.stdout == "", args
+        assert res.stderr.startswith("error: "), args
+
+
+def test_simulate_rejects_negative_q():
+    res = run_cli("simulate", "--n", "2", "--q", "-0.1")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: parameter")
+
+
+def test_exit_codes_on_drawn_arguments(tmp_path):
+    """Any small drawn command line exits 0, 1 or 2; only argparse's
+    SystemExit(2) escapes main, never another exception."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from lppqs.cli import SCOPES, main
+
+    formats = st.sampled_from(["text", "json", "csv"])
+    budget = st.sampled_from(["1", "50", "2000000"])
+    token = st.sampled_from(["0", "1", "2", "3", "-", "-1", "x"])
+    filling = st.lists(st.lists(token, max_size=4).map(" ".join), max_size=5).map("\n".join)
+
+    def flag(draw, name, values):
+        value = draw(st.none() | values)
+        return [] if value is None else [name, str(value)]
+
+    @st.composite
+    def verify(draw):
+        argv = ["verify", "--scope", draw(st.sampled_from([*SCOPES, "all"]))]
+        # a lone --n or --u is a usage error; neither would run the default
+        # sizes, and no --trials the default trial counts, which take seconds
+        n, u = draw(st.integers(-1, 3)), draw(st.integers(-1, 4))
+        argv += draw(st.sampled_from([["--n", str(n), "--u", str(u)], ["--n", str(n)],
+                                      ["--u", str(u)]]))
+        argv += ["--trials", str(draw(st.integers(-1, 5)))]
+        argv += flag(draw, "--max-dim", st.integers(-1, 4))
+        argv += flag(draw, "--seed", st.integers(0, 3))
+        argv += flag(draw, "--node-budget", budget)
+        return argv + flag(draw, "--format", formats)
+
+    @st.composite
+    def rsk(draw):
+        path = tmp_path / "input.txt"
+        path.write_text(draw(filling))
+        argv = ["rsk", "--input", str(path), "--geometry",
+                draw(st.sampled_from(["p2hlr", "p2l", "matrix-row", "matrix-col"]))]
+        argv += flag(draw, "--direction", st.sampled_from(["forward", "inverse"]))
+        argv += flag(draw, "--u", st.integers(-1, 4))
+        return argv + (["--roundtrip"] if draw(st.booleans()) else [])
+
+    @st.composite
+    def cdf(draw):
+        argv = ["cdf", "--geometry", draw(st.sampled_from(["p2hlr", "p2pr", "p2l"])),
+                "--n", str(draw(st.integers(-1, 3))),
+                "--y", draw(st.sampled_from(["1/2", "7/10", "0", "3/2", "1/0", "abc"])),
+                "--u-max", str(draw(st.integers(-1, 4)))]
+        argv += flag(draw, "--node-budget", budget)
+        return argv + flag(draw, "--format", formats)
+
+    @st.composite
+    def simulate(draw):
+        argv = ["simulate", "--n", str(draw(st.integers(-1, 3)))]
+        argv += flag(draw, "--geometry", st.sampled_from(["p2hlr", "p2pr", "p2l"]))
+        param = st.sampled_from(["0.25", "0.5", "0", "1", "1.5", "-0.1", "nan"])
+        argv += flag(draw, "--q", param) + flag(draw, "--y", param)
+        argv += flag(draw, "--samples", st.integers(-1, 50))
+        argv += flag(draw, "--seed", st.integers(0, 3))
+        argv += ["--factorization"] if draw(st.booleans()) else []
+        return argv + flag(draw, "--format", formats)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.one_of(verify(), rsk(), cdf(), simulate()))
+    def check(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+        else:
+            assert rc in (0, 1, 2), argv
+
+    check()
+
+
+@pytest.mark.parametrize("demo", ["01_patterns_and_characters.py", "02_growth_rules.py",
+                                  "03_bijections.py", "04_product_identity.py"])
+def test_demo_runs(demo):
+    path = Path(__file__).resolve().parent.parent / "demos" / demo
+    res = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr

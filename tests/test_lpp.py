@@ -7,7 +7,7 @@ from conftest import (
 )
 from lppqs.characters import (
     LaurentPolynomial as LP,
-    bounded_schur_sum,
+    bounded_character_sum,
     box_partitions,
     character_jt,
     product_of_variables,
@@ -214,8 +214,8 @@ def test_series_identities_small(n, u):
     pr = generating_series(Geometry("p2pr", n), u)
     pl = generating_series(Geometry("p2l", n), u // 2)
     assert hlr == pr * pl
-    assert pr == bounded_schur_sum(u, n, even_rows_only=False)
-    assert pl == bounded_schur_sum(u, n, even_rows_only=True)
+    assert pr == bounded_character_sum("schur", u, n)
+    assert pl == bounded_character_sum("schur", u, n, even_rows_only=True)
     sp_sum = LP.zero(n)
     for lam in box_partitions(u, n):
         sp_sum = sp_sum + character_jt("symplectic", lam, n)
