@@ -22,19 +22,68 @@ from .partitions import (
 
 ExponentVector = tuple[int, ...]
 
+# Terms are keyed by one packed int: key = sum_i e_i * R**(nvars - 1 - i) with
+# radix R = 2**32, balanced digits |e_i| < R/2 and the first variable most
+# significant.  Multiplying monomials is adding keys, and the integer order of
+# keys is the lexicographic order of their exponent vectors.
+_SHIFT = 32
+_MASK = (1 << _SHIFT) - 1
+_HALF = 1 << (_SHIFT - 1)
+
+
+def check_exponent_range(bound: int) -> None:
+    """Raise OverflowError unless |exponents| <= bound fit a packed digit."""
+    if bound >= _HALF:
+        raise OverflowError(
+            f"exponents up to {bound} leave the packed range |e| < 2**{_SHIFT - 1}"
+        )
+
+
+def pack_exponents(exps: Sequence[int]) -> int:
+    """Packed key of an exponent vector."""
+    key = 0
+    for e in exps:
+        check_exponent_range(abs(e))
+        key = (key << _SHIFT) + e
+    return key
+
+
+def _digit_offset(nvars: int) -> int:
+    """R/2 in every digit: adding it makes each balanced digit non-negative."""
+    return _HALF * ((1 << (_SHIFT * nvars)) - 1) // _MASK
+
+
+def unpack_exponents(key: int, nvars: int) -> ExponentVector:
+    """Exponent vector of a packed key."""
+    key += _digit_offset(nvars)
+    return tuple(
+        ((key >> (_SHIFT * s)) & _MASK) - _HALF for s in range(nvars - 1, -1, -1)
+    )
+
+
+def _scaled_power(v: Fraction, e: int, bound: int) -> int:
+    """v^e times (pq)^bound for v = p/q; for v = 0, 0^e (e >= 0)."""
+    if v:
+        return v.numerator ** (bound + e) * v.denominator ** (bound - e)
+    return 0 if e else 1
+
 
 class LaurentPolynomial:
     """Sparse multivariate Laurent polynomial with integer coefficients.
 
-    Terms map exponent vectors (length nvars, entries of any sign) to
-    non-zero integers.  Instances are treated as immutable values.
+    Terms map packed exponent keys (see ``pack_exponents``; exponents of any
+    sign) to non-zero integers.  ``exponent_bound`` is at least every
+    |exponent|; products add the bounds and raise OverflowError before an
+    exponent could leave the packed range.  Instances are treated as
+    immutable values.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "exponent_bound")
 
     def __init__(self, nvars: int, terms: dict[ExponentVector, int] | None = None):
         self.nvars = int(nvars)
-        clean: dict[ExponentVector, int] = {}
+        clean: dict[int, int] = {}
+        bound = 0
         if terms:
             for exps, coef in terms.items():
                 if len(exps) != self.nvars:
@@ -42,10 +91,24 @@ class LaurentPolynomial:
                         f"exponent vector {exps} has wrong length for {self.nvars} variables"
                     )
                 if coef != 0:
-                    clean[tuple(int(e) for e in exps)] = int(coef)
+                    exps = [int(e) for e in exps]
+                    clean[pack_exponents(exps)] = int(coef)
+                    bound = max([bound, *map(abs, exps)])
         self.terms = clean
+        self.exponent_bound = bound
 
     # constructors
+    @classmethod
+    def from_packed(cls, nvars: int, terms: dict[int, int], bound: int) -> "LaurentPolynomial":
+        """Wrap packed terms without copying them.  The caller guarantees
+        non-zero coefficients and bound >= every |exponent|."""
+        check_exponent_range(bound)
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        out.exponent_bound = bound
+        return out
+
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPolynomial":
         return cls(nvars)
@@ -93,22 +156,22 @@ class LaurentPolynomial:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
-        for exps, coef in other.terms.items():
-            new = terms.get(exps, 0) + coef
+        for key, coef in other.terms.items():
+            new = terms.get(key, 0) + coef
             if new:
-                terms[exps] = new
+                terms[key] = new
             else:
-                terms.pop(exps, None)
-        out = LaurentPolynomial(self.nvars)
-        out.terms = terms
-        return out
+                del terms[key]
+        return LaurentPolynomial.from_packed(
+            self.nvars, terms, max(self.exponent_bound, other.exponent_bound)
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        out = LaurentPolynomial(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPolynomial.from_packed(
+            self.nvars, {k: -c for k, c in self.terms.items()}, self.exponent_bound
+        )
 
     def __sub__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -123,18 +186,18 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[ExponentVector, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, 0) + c1 * c2
-                if new:
-                    terms[exps] = new
-                else:
-                    del terms[exps]
-        out = LaurentPolynomial(self.nvars)
-        out.terms = terms
-        return out
+        bound = self.exponent_bound + other.exponent_bound
+        check_exponent_range(bound)  # before the loop: no key sum may alias
+        terms: dict[int, int] = {}
+        get = terms.get
+        right = list(other.terms.items())
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        return LaurentPolynomial.from_packed(self.nvars, terms, bound)
 
     __rmul__ = __mul__
 
@@ -146,8 +209,9 @@ class LaurentPolynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -161,30 +225,34 @@ class LaurentPolynomial:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # substitutions
+    def _map_exponents(self, change) -> "LaurentPolynomial":
+        terms: dict[int, int] = {}
+        for key, coef in self.terms.items():
+            terms[pack_exponents(change(unpack_exponents(key, self.nvars)))] = coef
+        return LaurentPolynomial.from_packed(self.nvars, terms, self.exponent_bound)
+
     def invert_variable(self, index: int) -> "LaurentPolynomial":
         """Substitute x_{index+1} -> 1/x_{index+1}."""
-        terms: dict[ExponentVector, int] = {}
-        for exps, coef in self.terms.items():
+
+        def change(exps):
             e = list(exps)
             e[index] = -e[index]
-            terms[tuple(e)] = coef
-        out = LaurentPolynomial(self.nvars)
-        out.terms = terms
-        return out
+            return e
+
+        return self._map_exponents(change)
 
     def permute_variables(self, perm: Sequence[int]) -> "LaurentPolynomial":
         """Substitute x_{k+1} -> x_{perm[k]+1} for each k."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError(f"not a permutation of 0..{self.nvars - 1}: {perm}")
-        terms: dict[ExponentVector, int] = {}
-        for exps, coef in self.terms.items():
+
+        def change(exps):
             e = [0] * self.nvars
             for k, x in enumerate(exps):
                 e[perm[k]] = x
-            terms[tuple(e)] = coef
-        out = LaurentPolynomial(self.nvars)
-        out.terms = terms
-        return out
+            return e
+
+        return self._map_exponents(change)
 
     def specialize(self, values: Sequence[Fraction | int]) -> Fraction:
         """Exact evaluation at non-zero rationals (zero allowed only where no
@@ -193,18 +261,34 @@ class LaurentPolynomial:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
         vals = [Fraction(v) for v in values]
         for i, v in enumerate(vals):
-            if v == 0 and any(e[i] < 0 for e in self.terms):
+            if v == 0 and any(
+                unpack_exponents(k, self.nvars)[i] < 0 for k in self.terms
+            ):
                 raise ZeroDivisionError(
                     f"variable x{i + 1} appears with a negative exponent"
                 )
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            term = Fraction(coef)
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        # x^e = p^(B+e) q^(B-e) / (pq)^B for x = p/q != 0 and B = exponent_bound,
+        # so the terms sum as ints and one division ends the sum; each key is
+        # decoded on its own and each power computed once
+        bound = self.exponent_bound
+        offset = _digit_offset(self.nvars)
+        shifts = [_SHIFT * s for s in range(self.nvars - 1, -1, -1)]
+        powers: list[dict[int, int]] = [{} for _ in vals]
+        total = 0
+        for key, coef in self.terms.items():
+            key += offset
+            for v, s, cache in zip(vals, shifts, powers):
+                e = ((key >> s) & _MASK) - _HALF
+                f = cache.get(e)
+                if f is None:
+                    f = cache[e] = _scaled_power(v, e, bound)
+                coef *= f
+            total += coef
+        scale = 1
+        for v in vals:
+            if v:
+                scale *= (v.numerator * v.denominator) ** bound
+        return Fraction(total, scale)
 
     # canonical text: terms ascending by exponent vector, each rendered as
     # "coef" or "coef * x1^e1 x2^e2" listing only non-zero exponents
@@ -212,8 +296,9 @@ class LaurentPolynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for exps in sorted(self.terms):
-            coef = self.terms[exps]
+        for key in sorted(self.terms):
+            coef = self.terms[key]
+            exps = unpack_exponents(key, self.nvars)
             factors = " ".join(
                 f"x{i + 1}^{e}" for i, e in enumerate(exps) if e != 0
             )
@@ -357,15 +442,14 @@ def character_jt(family: str, lam, n: int) -> LaurentPolynomial:
         ]
         det = determinant(mat, n)
         half = {}
-        for exps, coef in det.terms.items():
+        for key, coef in det.terms.items():
             if coef % 2:
                 raise ArithmeticError(
-                    f"symplectic determinant has odd coefficient at {exps}"
+                    "symplectic determinant has odd coefficient at "
+                    f"{unpack_exponents(key, n)}"
                 )
-            half[exps] = coef // 2
-        out = LaurentPolynomial(n)
-        out.terms = half
-        return out
+            half[key] = coef // 2
+        return LaurentPolynomial.from_packed(n, half, det.exponent_bound)
     if family == ODD_ORTHOGONAL:
         mono = odd_orthogonal_variables(n)
         h = _h_table(mono, n, lam[0] + ell)

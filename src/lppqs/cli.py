@@ -190,6 +190,9 @@ INSTANCE_SUITES = {
 
 def cmd_verify(args) -> int:
     scopes = SCOPES if args.scope == "all" else (args.scope,)
+    if args.scope not in (*INSTANCE_SUITES, "all") and (args.n, args.u) != (None, None):
+        print(f"error: --scope {args.scope} takes no --n or --u", file=sys.stderr)
+        return 2
     if (args.n is None) != (args.u is None):
         print("error: give --n and --u together", file=sys.stderr)
         return 2
@@ -268,15 +271,26 @@ def _partition_to_text(p: Partition) -> str:
 
 
 def cmd_rsk(args) -> int:
+    matrix = args.geometry in ("matrix-row", "matrix-col")
+    if matrix and (args.direction is not None or args.roundtrip):
+        print(f"error: --direction and --roundtrip do not apply to {args.geometry}",
+              file=sys.stderr)
+        return 2
+    if args.geometry != "p2hlr" and args.u is not None:
+        print(f"error: --u applies to p2hlr only, not {args.geometry}", file=sys.stderr)
+        return 2
+    if args.geometry == "p2hlr" and (args.u is None or args.u < 0):
+        print("error: p2hlr needs a bound --u of at least 0", file=sys.stderr)
+        return 2
     try:
         text = sys.stdin.read() if args.input == "-" else open(args.input).read()
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
 
-    forward = args.direction == "forward"
+    forward = args.direction != "inverse"
     try:
-        if args.geometry in ("matrix-row", "matrix-col"):
+        if matrix:
             obj = [
                 [int(tok) for tok in line.split()]
                 for line in text.strip().splitlines()
@@ -289,12 +303,9 @@ def cmd_rsk(args) -> int:
     except ValueError as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return 2
-    if args.geometry == "p2hlr" and args.u is None:
-        print("error: --u is required for p2hlr", file=sys.stderr)
-        return 2
 
     try:
-        if args.geometry in ("matrix-row", "matrix-col"):
+        if matrix:
             rule = "row" if args.geometry.endswith("row") else "col"
             grid = grow_grid(obj, rule)
             lines = [f"corner: {_partition_to_text(grid.corner())}"]
@@ -438,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["p2hlr", "p2l", "matrix-row", "matrix-col"],
     )
-    rsk.add_argument("--direction", choices=["forward", "inverse"], default="forward")
+    rsk.add_argument("--direction", choices=["forward", "inverse"], default=None,
+                     help="p2hlr and p2l only (default forward)")
     rsk.add_argument("--u", type=int, default=None, help="bound for the p2hlr bijection")
     rsk.add_argument("--input", required=True, help="filling/pattern file, '-' = stdin")
     rsk.add_argument("--roundtrip", action="store_true",

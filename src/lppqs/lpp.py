@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .characters import LaurentPolynomial
+from .characters import LaurentPolynomial, check_exponent_range, pack_exponents
 from .growth import COL, ROW, apply_local, grow_grid, invert_local
 from .partitions import EMPTY, GTPattern, Partition, SpGTPattern
 
@@ -230,6 +230,9 @@ def generating_series(
     geo = geometry
     squares = geo.squares()
     evecs = [geo.variable_exponent(i, j) for (i, j) in squares]
+    steps = [pack_exponents(e) for e in evecs]
+    # every weight is at most the bound, so no exponent passes this
+    exponent_bound = bound * max(map(sum, zip(*evecs)))
     preds: list[list[int]] = []
     index = {sq: k for k, sq in enumerate(squares)}
     for (i, j) in squares:
@@ -238,18 +241,17 @@ def generating_series(
         )
     nsq = len(squares)
     dp = [0] * nsq
-    exps = [0] * geo.n
-    terms: dict[tuple[int, ...], int] = {}
+    key = 0  # packed exponent vector of the partial filling
+    terms: dict[int, int] = {}
     nodes = 0
 
     def rec(k: int):
-        nonlocal nodes
+        nonlocal nodes, key
         if k == nsq:
-            key = tuple(exps)
             terms[key] = terms.get(key, 0) + 1
             return
         base = max((dp[p] for p in preds[k]), default=0)
-        evec = evecs[k]
+        step = steps[k]
         top = bound - base
         for w in range(0, top + 1):
             nodes += 1
@@ -260,15 +262,12 @@ def generating_series(
             dp[k] = base + w
             rec(k + 1)
             if w < top:
-                for v, e in enumerate(evec):
-                    exps[v] += e
-        for v, e in enumerate(evec):
-            exps[v] -= top * e
+                key += step
+        key -= top * step
 
+    check_exponent_range(exponent_bound)
     rec(0)
-    out = LaurentPolynomial(geo.n)
-    out.terms = terms
-    return out
+    return LaurentPolynomial.from_packed(geo.n, terms, exponent_bound)
 
 
 # --- the quarter-square bijection -------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from lppqs.characters import (
     okada_product,
     odd_orthogonal_variables,
     ordinary_variables,
+    pack_exponents,
     product_of_variables,
     symplectic_variables,
+    unpack_exponents,
 )
 from lppqs.partitions import Partition, enumerate_patterns
 
@@ -103,14 +106,13 @@ def _box(rows, cols):
 
 @pytest.mark.parametrize("family", ["schur", "symplectic", "odd_orthogonal"])
 def test_det_equals_tab_small(family):
-    for n in (1, 2):
-        for lam in _box(2, 2):
-            if len(lam) > n:
-                continue
-            assert character_jt(family, lam, n) == character_tab(family, lam, n)
+    # compared as text, which decodes every exponent vector
+    shapes = [(n, lam) for n in (1, 2, 3) for lam in _box(3, 2) if len(lam) <= n]
     # 4x4 determinants
-    for lam in (Partition([1, 1, 1, 1]), Partition([2, 1, 1, 1])):
-        assert character_jt(family, lam, 4) == character_tab(family, lam, 4)
+    shapes += [(4, Partition([1, 1, 1, 1])), (4, Partition([2, 1, 1, 1]))]
+    for n, lam in shapes:
+        jt = character_jt(family, lam, n).canonical_text()
+        assert jt == character_tab(family, lam, n).canonical_text(), (n, lam)
 
 
 def test_schur_symmetric_under_permutations():
@@ -204,3 +206,134 @@ def test_seven_by_seven_determinant():
     lam = Partition([1] * 7)
     s = character_jt("schur", lam, 7)
     assert s == LP.monomial((1,) * 7, 7)
+
+
+# --- the packed kernel against a tuple-keyed reference -----------------------
+# The reference keys terms by exponent tuples and adds them with zip, the
+# representation the packed int keys replaced; it is kept here as the oracle.
+
+
+def ref_random(rng, nvars, terms, exponent):
+    out = {}
+    for _ in range(terms):
+        exps = tuple(exponent() for _ in range(nvars))
+        out[exps] = out.get(exps, 0) + rng.choice([-3, -2, -1, 1, 2, 5])
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_text(d):
+    pieces = []
+    for exps in sorted(d):
+        factors = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+        pieces.append(f"{d[exps]} * {factors}" if factors else str(d[exps]))
+    return " + ".join(pieces) or "0"
+
+
+def ref_specialize(d, values):
+    total = Fraction(0)
+    for exps, c in d.items():
+        term = Fraction(c)
+        for v, e in zip(values, exps):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def assert_matches(p, d):
+    assert p.canonical_text() == ref_text(d)
+    assert len(p.terms) == len(d)
+    assert sorted(p.terms.values()) == sorted(d.values())
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_packed_ring_operations_match_tuple_reference(rng, nvars):
+    far = 2**30 - 1  # two such exponents still add inside the packed range
+    exponent_kinds = [
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice([-far, -(2**20), -1, 0, 1, 2**20, far]),
+    ]
+    for trial in range(80):
+        exponent = exponent_kinds[trial % 2]
+        a = ref_random(rng, nvars, rng.randint(0, 6), exponent)
+        b = ref_random(rng, nvars, rng.randint(0, 6), exponent)
+        pa, pb = LP(nvars, a), LP(nvars, b)
+        assert_matches(pa, a)
+        assert_matches(pa * pb, ref_mul(a, b))
+        assert_matches(pa + pb, ref_add(a, b))
+        assert_matches(pa - pb, ref_add(a, {e: -c for e, c in b.items()}))
+        assert_matches(-pa, {e: -c for e, c in a.items()})
+        assert pa * pb == LP(nvars, ref_mul(a, b))
+        i = rng.randrange(nvars)
+        flipped = {e[:i] + (-e[i],) + e[i + 1:]: c for e, c in a.items()}
+        assert_matches(pa.invert_variable(i), flipped)
+        perm = rng.sample(range(nvars), nvars)
+        moved = {}
+        for e, c in a.items():
+            t = [0] * nvars
+            for k, x in enumerate(e):
+                t[perm[k]] = x
+            moved[tuple(t)] = c
+        assert_matches(pa.permute_variables(perm), moved)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_packed_specialize_matches_tuple_reference(rng, nvars):
+    for _ in range(60):
+        a = ref_random(rng, nvars, rng.randint(0, 8), lambda: rng.randint(-4, 4))
+        b = ref_random(rng, nvars, rng.randint(0, 4), lambda: rng.randint(-2, 2))
+        values = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                  for _ in range(nvars)]
+        assert LP(nvars, a).specialize(values) == ref_specialize(a, values)
+        product = LP(nvars, a) * LP(nvars, b)
+        assert product.specialize(values) == ref_specialize(ref_mul(a, b), values)
+    # a zero value where every exponent of that variable is non-negative
+    d = {(2,) + (0,) * (nvars - 1): 3, (0,) + (-1,) * (nvars - 1): 4}
+    values = [0] + [Fraction(2, 3)] * (nvars - 1)
+    assert LP(nvars, d).specialize(values) == ref_specialize(d, values)
+
+
+def test_packed_keys_sort_like_exponent_vectors():
+    vecs = list(itertools.product([-(2**31) + 1, -2, 0, 1, 2**31 - 1], repeat=3))
+    keys = {pack_exponents(v): v for v in vecs}
+    assert [keys[k] for k in sorted(keys)] == sorted(vecs)
+    assert all(unpack_exponents(k, 3) == v for k, v in keys.items())
+
+
+def test_exponents_outside_the_packed_range_raise():
+    top = 2**31 - 1
+    edge = LP(2, {(top, -top): 1})
+    assert edge.canonical_text() == f"1 * x1^{top} x2^{-top}"
+    for exps in ((2**31, 0), (0, -(2**31)), (1, 2**40)):
+        with pytest.raises(OverflowError):
+            LP(2, {exps: 1})
+    # x2^(2^31) would carry into the x1 digit: the product raises instead
+    with pytest.raises(OverflowError):
+        edge * LP.variable(0, 2)
+    with pytest.raises(OverflowError):
+        LP.variable(1, 2, 2**30) * LP.variable(1, 2, 2**30)
+    # the bound survives addition, negation and substitution
+    shifted = (-(edge + LP.one(2))).invert_variable(0).permute_variables([1, 0])
+    assert shifted.exponent_bound == top
+    with pytest.raises(OverflowError):
+        shifted * shifted
+    assert (LP.variable(0, 1, 2**30 - 1) * LP.variable(0, 1, 2**30)).canonical_text() == (
+        f"1 * x1^{2**31 - 1}"
+    )
+    # powers stop squaring after the last bit, which would pass the range
+    assert x ** (2**30) == LP.variable(0, 1, 2**30)

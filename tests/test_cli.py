@@ -120,6 +120,40 @@ def test_rsk_inverse_round_trips_through_files(tmp_path):
     assert inv.stdout.strip() == fin.read_text().strip()
 
 
+def test_rsk_negative_bound_is_a_usage_error(tmp_path):
+    f = tmp_path / "w.txt"
+    f.write_text("0\n0\n")
+    res = run_cli("rsk", "--geometry", "p2hlr", "--u", "-1", "--input", str(f))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+
+
+def test_flags_a_run_ignores_are_usage_errors(tmp_path):
+    f = tmp_path / "w.txt"
+    f.write_text("3\n")
+    m = tmp_path / "m.txt"
+    m.write_text("1 2\n0 3\n")
+    for args in (
+        ("rsk", "--geometry", "p2l", "--u", "3", "--input", str(f)),
+        ("rsk", "--geometry", "matrix-row", "--u", "1", "--input", str(m)),
+        ("rsk", "--geometry", "matrix-col", "--u", "0", "--input", str(m)),
+        ("rsk", "--geometry", "matrix-row", "--roundtrip", "--input", str(m)),
+        ("rsk", "--geometry", "matrix-col", "--direction", "inverse", "--input", str(m)),
+        ("rsk", "--geometry", "matrix-row", "--direction", "forward", "--input", str(m)),
+        ("verify", "--scope", "greene", "--n", "1", "--u", "2", "--trials", "3"),
+        ("verify", "--scope", "roundtrips", "--n", "1", "--u", "2", "--trials", "3"),
+        ("verify", "--scope", "greene", "--u", "2", "--trials", "3"),
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stdout == "", args
+        assert res.stderr.startswith("error: "), args
+    # --trials stays accepted on the instance scopes, which do not read it
+    res = run_cli("verify", "--scope", "okada", "--n", "1", "--u", "1", "--trials", "3")
+    assert res.returncode == 0, res.stderr
+
+
 def test_rsk_parse_error_exit_two(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("1 2\n3 4\n")  # full square is not a p2l domain
@@ -304,12 +338,14 @@ def test_exit_codes_on_drawn_arguments(tmp_path):
 
     @st.composite
     def verify(draw):
-        argv = ["verify", "--scope", draw(st.sampled_from([*SCOPES, "all"]))]
+        scope = draw(st.sampled_from([*SCOPES, "all"]))
+        argv = ["verify", "--scope", scope]
         # a lone --n or --u is a usage error; neither would run the default
-        # sizes, and no --trials the default trial counts, which take seconds
+        # sizes, and no --trials the default trial counts, which take seconds.
+        # greene and roundtrips take no sizes, so they also draw none.
         n, u = draw(st.integers(-1, 3)), draw(st.integers(-1, 4))
-        argv += draw(st.sampled_from([["--n", str(n), "--u", str(u)], ["--n", str(n)],
-                                      ["--u", str(u)]]))
+        sizes = [["--n", str(n), "--u", str(u)], ["--n", str(n)], ["--u", str(u)]]
+        argv += draw(st.sampled_from(sizes + ([[]] if scope in ("greene", "roundtrips") else [])))
         argv += ["--trials", str(draw(st.integers(-1, 5)))]
         argv += flag(draw, "--max-dim", st.integers(-1, 4))
         argv += flag(draw, "--seed", st.integers(0, 3))

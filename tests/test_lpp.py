@@ -120,6 +120,13 @@ def test_generating_series_budget():
         generating_series(Geometry("p2hlr", 3), 4, node_budget=50)
 
 
+def test_generating_series_checks_the_exponent_range_first():
+    # weight 2^30 on the single p2l square gives x1^(2^31), past the packed
+    # range; the check comes before any node is spent
+    with pytest.raises(OverflowError):
+        generating_series(Geometry("p2l", 1), 2**30, node_budget=1)
+
+
 def test_bz_zero_filling_gives_constant_pattern():
     f = Filling(Geometry("p2hlr", 2), {})
     z = bz_map(f, 3, "forward")
