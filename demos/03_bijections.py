@@ -2,8 +2,8 @@
 """The two fill-to-pattern bijections, step by step on small inputs.
 
 Quarter square: grow with the row rule (the reflecting diagonal reuses the
-west neighbour), read the boundary chain, slide it back into the triangle,
-and subtract every entry from the bound u.  The result is a half pattern
+west neighbour), read the boundary chain, and subtract each partition,
+reversed, from the bound u.  The result is a half pattern
 whose monomial recovers the filling's weight.
 
 Point to line: flip the triangle, double the hypotenuse, reflect to a
@@ -30,9 +30,8 @@ print("Quarter-square filling (text form, top row first):")
 print(f.to_text())
 print("passage time:", lpp_time(f), "<= u =", u)
 
-t = oscillating_tableau(f)
-print("oscillating tableau entries by diagonal chain:")
-for k, part in enumerate(t.diagonal_chain()):
+print("boundary chain (the oscillating tableau):")
+for k, part in enumerate(oscillating_tableau(f)):
     print(f"  chain[{k}] = {part}")
 
 z = bz_map(f, u, "forward")

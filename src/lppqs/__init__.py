@@ -20,15 +20,16 @@ from .growth import (
     GrowthGrid,
     col_rsk_local,
     greene_oracle,
+    grow,
     grow_grid,
     invert_local,
     row_rsk_local,
+    ungrow,
 )
 from .lpp import (
     EnumerationBudgetError,
     Filling,
     Geometry,
-    OscillatingTableau,
     bz_map,
     generating_series,
     lpp_time,
@@ -70,7 +71,6 @@ __all__ = [
     "GeometricSpec",
     "GrowthGrid",
     "LaurentPolynomial",
-    "OscillatingTableau",
     "Partition",
     "ScalingConstants",
     "SimulationReport",
@@ -88,6 +88,7 @@ __all__ = [
     "factorization_report",
     "generating_series",
     "greene_oracle",
+    "grow",
     "grow_grid",
     "gt_type",
     "interlaces",
@@ -103,5 +104,6 @@ __all__ = [
     "sample_passage_times",
     "scaling_constants",
     "tableau_to_pattern",
+    "ungrow",
     "weight_of",
 ]

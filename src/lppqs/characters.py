@@ -8,6 +8,7 @@ All arithmetic is exact (Python ints and fractions); no floats anywhere.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -496,21 +497,10 @@ def box_partitions(
     """
     if u < 0 or n < 0:
         raise ValueError("box dimensions must be non-negative")
-
-    def rec(j: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if j == n:
-            yield tuple(prefix)
-            return
-        step = 2 if even_rows_only else 1
-        for v in range(0, cap + 1, step):
-            prefix.append(v)
-            yield from rec(j + 1, v, prefix)
-            prefix.pop()
-
-    all_tuples = list(rec(0, u, []))
-    all_tuples.sort(key=lambda t: t[::-1])
-    for t in all_tuples:
-        yield Partition(t)
+    # increasing tuples come out in lex order, so their reversals are in colex
+    parts = range(0, u + 1, 2 if even_rows_only else 1)
+    for c in itertools.combinations_with_replacement(parts, n):
+        yield Partition(c[::-1])
 
 
 def bounded_character_sum(

@@ -193,6 +193,9 @@ def cmd_verify(args) -> int:
     if args.scope not in (*INSTANCE_SUITES, "all") and (args.n, args.u) != (None, None):
         print(f"error: --scope {args.scope} takes no --n or --u", file=sys.stderr)
         return 2
+    if args.scope not in ("greene", "all") and args.max_dim is not None:
+        print(f"error: --scope {args.scope} takes no --max-dim", file=sys.stderr)
+        return 2
     if (args.n is None) != (args.u is None):
         print("error: give --n and --u together", file=sys.stderr)
         return 2
@@ -226,7 +229,7 @@ def cmd_verify(args) -> int:
                 run(scope, f"n={n} u={u}", fn, n, u, args.node_budget)
         elif scope == "greene":
             trials = args.trials or 200
-            run(scope, f"trials={trials}", _greene_suite, trials, args.max_dim, args.seed)
+            run(scope, f"trials={trials}", _greene_suite, trials, args.max_dim or 5, args.seed)
         else:
             local = args.trials or 1000
             maps = max(1, local // 2)
@@ -263,6 +266,8 @@ def _pattern_to_text(z) -> str:
 
 def _pattern_from_text(text: str, half: bool):
     rows = [[int(tok) for tok in line.split()] for line in text.strip().splitlines()]
+    if not rows:
+        raise ValueError("empty pattern file")
     return SpGTPattern(rows) if half else GTPattern(rows)
 
 
@@ -440,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, default=None)
     verify.add_argument("--u", type=int, default=None)
     verify.add_argument("--trials", type=int, default=None)
-    verify.add_argument("--max-dim", type=int, default=5)
+    verify.add_argument("--max-dim", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
 
     rsk = sub.add_parser("rsk", help="apply a growth bijection to a filling file")

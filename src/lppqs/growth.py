@@ -120,6 +120,62 @@ def apply_local(rule: str, alpha, beta, kappa, g) -> Partition:
     raise ValueError(f"unknown rule {rule!r}")
 
 
+def _axis_points(squares) -> set[tuple[int, int]]:
+    """Points on the axes that bound the given squares."""
+    pts = set()
+    for i, j in squares:
+        if i == 1:
+            pts.update(((0, j - 1), (0, j)))
+        if j == 1:
+            pts.update(((i - 1, 0), (i, 0)))
+    return pts
+
+
+def grow(squares, weights, rule: str, reflect: bool = False) -> dict:
+    """Grow partitions over squares, in the given order, with one local rule.
+
+    Square (i, j) with weight w maps the partitions at its corners (i-1, j),
+    (i, j-1), (i-1, j-1) to the one at (i, j); every square's three lower
+    corners must lie on the axes or at an earlier square.  Points on the axes
+    carry the empty partition.  With reflect, a diagonal square (i, i) reads
+    its south point from (i-1, i), the mirror image across the diagonal.
+    Returns the partition at every point.
+    """
+    pts = dict.fromkeys(_axis_points(squares), EMPTY)
+    for (i, j), w in zip(squares, weights):
+        pts[i, j] = apply_local(
+            rule,
+            pts[i - 1, j],
+            pts[i - 1, i] if reflect and i == j else pts[i, j - 1],
+            pts[i - 1, j - 1],
+            w,
+        )
+    return pts
+
+
+def ungrow(squares, boundary, rule: str, reflect: bool = False) -> list[int]:
+    """Inverse of :func:`grow`: the weights, in the order of squares, whose
+    growth puts the given partitions on the boundary points.
+
+    boundary holds every point the walk reads that is no square's lower-left
+    corner.  Raises ValueError when a local step cannot be inverted or when
+    the walk leaves a non-empty partition on an axis.
+    """
+    pts = dict(boundary)
+    weights = [0] * len(squares)
+    for k in range(len(squares) - 1, -1, -1):
+        i, j = squares[k]
+        pts[i - 1, j - 1], weights[k] = invert_local(
+            rule,
+            pts[i - 1, j],
+            pts[i - 1, i] if reflect and i == j else pts[i, j - 1],
+            pts[i, j],
+        )
+    if any(pts.get(pt) for pt in _axis_points(squares)):
+        raise ValueError("inconsistent boundary: non-empty axis partition")
+    return weights
+
+
 class GrowthGrid:
     """Partitions on the lattice points of an m-by-n rectangle.
 
@@ -127,29 +183,28 @@ class GrowthGrid:
     0 <= j <= n, with the empty partition on both axes.
     """
 
-    __slots__ = ("dims", "rule", "entries")
+    __slots__ = ("dims", "rule", "points")
 
-    def __init__(self, dims: tuple[int, int], rule: str, entries):
+    def __init__(self, dims: tuple[int, int], rule: str, points):
         self.dims = dims
         self.rule = rule
-        self.entries = entries
+        self.points = points
 
     def entry(self, i: int, j: int) -> Partition:
-        return self.entries[i][j]
+        return self.points[i, j]
 
     def corner(self) -> Partition:
-        m, n = self.dims
-        return self.entries[m][n]
+        return self.points[self.dims]
 
     def north_chain(self) -> list[Partition]:
         """Partitions along the north edge, (0, n) to (m, n)."""
         m, n = self.dims
-        return [self.entries[i][n] for i in range(m + 1)]
+        return [self.points[i, n] for i in range(m + 1)]
 
     def east_chain(self) -> list[Partition]:
         """Partitions along the east edge, (m, 0) to (m, n)."""
         m, n = self.dims
-        return [self.entries[m][j] for j in range(n + 1)]
+        return [self.points[m, j] for j in range(n + 1)]
 
     def __repr__(self) -> str:
         return f"GrowthGrid(dims={self.dims}, rule={self.rule!r})"
@@ -169,20 +224,16 @@ def check_weight_matrix(weights: Sequence[Sequence[int]]) -> tuple[int, int]:
     return m, n
 
 
+def rectangle(m: int, n: int) -> list[tuple[int, int]]:
+    """Squares of the m-by-n rectangle, row-major (i, then j)."""
+    return [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+
+
 def grow_grid(weights: Sequence[Sequence[int]], rule: str) -> GrowthGrid:
     """Grow the full rectangle of a weight matrix with the chosen rule."""
     m, n = check_weight_matrix(weights)
-    entries = [[EMPTY] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            entries[i][j] = apply_local(
-                rule,
-                entries[i - 1][j],
-                entries[i][j - 1],
-                entries[i - 1][j - 1],
-                weights[i - 1][j - 1],
-            )
-    return GrowthGrid((m, n), rule, entries)
+    flat = [w for row in weights for w in row]
+    return GrowthGrid((m, n), rule, grow(rectangle(m, n), flat, rule))
 
 
 # --- brute-force non-intersecting path oracle --------------------------------

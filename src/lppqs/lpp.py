@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .characters import LaurentPolynomial, check_exponent_range, pack_exponents
-from .growth import COL, ROW, apply_local, grow_grid, invert_local
+from .growth import COL, ROW, grow, grow_grid, rectangle, ungrow
 from .partitions import EMPTY, GTPattern, Partition, SpGTPattern
 
 P2HLR = "p2hlr"
@@ -273,58 +273,6 @@ def generating_series(
 # --- the quarter-square bijection -------------------------------------------
 
 
-class OscillatingTableau:
-    """Triangular integer array whose diagonals form an up-down chain.
-
-    Entry (i, j) lives on the same index set as the p2hlr squares; the k-th
-    diagonal (k = 2n - j + i) carries the k-th partition of the boundary
-    chain, largest part innermost.
-    """
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: Mapping[tuple[int, int], int]):
-        self.n = n
-        self.entries = dict(entries)
-
-    def diagonal_chain(self) -> list[Partition]:
-        """Boundary partitions, outermost diagonal (k = 0, empty) first."""
-        chain = [EMPTY]
-        for k in range(1, 2 * self.n + 1):
-            m = (k + 1) // 2
-            parts = [self.entries[(i, 2 * self.n - k + i)] for i in range(m, 0, -1)]
-            chain.append(Partition(parts))
-        return chain
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OscillatingTableau)
-            and (self.n, self.entries) == (other.n, other.entries)
-        )
-
-    def __repr__(self) -> str:
-        return f"OscillatingTableau(n={self.n}, {self.entries})"
-
-
-def _grow_p2hlr(filling: Filling) -> dict[tuple[int, int], Partition]:
-    """Row-rule growth over the quarter square with the reflecting diagonal.
-
-    At a diagonal square (i, i) the missing south neighbour is replaced by
-    the west neighbour (i-1, i), which is the symmetric extension's value.
-    """
-    geo = filling.geometry
-    n = geo.n
-    pts: dict[tuple[int, int], Partition] = {(i, 0): EMPTY for i in (0, 1)}
-    for j in range(0, 2 * n + 1):
-        pts[(0, j)] = EMPTY
-    for (i, j) in geo.squares():
-        alpha = pts[(i - 1, j)]
-        beta = pts[(i - 1, i)] if i == j else pts[(i, j - 1)]
-        kappa = pts[(i - 1, j - 1)]
-        pts[(i, j)] = apply_local(ROW, alpha, beta, kappa, filling.weights[(i, j)])
-    return pts
-
-
 def _chain_points(n: int) -> list[tuple[int, int]]:
     """Lattice points of the north-east boundary chain, k = 0 .. 2n."""
     return [(0, 2 * n)] + [
@@ -332,20 +280,28 @@ def _chain_points(n: int) -> list[tuple[int, int]]:
     ]
 
 
-def oscillating_tableau(filling: Filling) -> OscillatingTableau:
-    """Boundary chain of the quarter-square growth, slid back into the triangle."""
+def _complement(parts, k: int, u: int) -> tuple[int, ...]:
+    """u minus the first ceil(k/2) parts, in reverse order.
+
+    An involution between the k-th partition of the boundary chain and row k
+    of the half pattern; both directions of bz_map use it.
+    """
+    return tuple(u - parts[r] for r in reversed(range(SpGTPattern.row_length(k))))
+
+
+def oscillating_tableau(filling: Filling) -> list[Partition]:
+    """Boundary chain of the quarter-square growth, k = 0 (empty) .. 2n.
+
+    Row-rule growth over the p2hlr squares with the reflecting diagonal;
+    the k-th partition sits at the k-th point of the north-east boundary,
+    and consecutive partitions alternately grow and shrink.
+    """
     geo = filling.geometry
     if geo.kind != P2HLR:
         raise ValueError("oscillating tableaux come from the p2hlr geometry")
-    n = geo.n
-    pts = _grow_p2hlr(filling)
-    entries = {}
-    for k, pt in enumerate(_chain_points(n)):
-        part = pts[pt]
-        m = (k + 1) // 2
-        for i in range(1, m + 1):
-            entries[(i, 2 * n - k + i)] = part[m - i]
-    return OscillatingTableau(n, entries)
+    squares = geo.squares()
+    pts = grow(squares, [filling.weights[sq] for sq in squares], ROW, reflect=True)
+    return [pts[pt] for pt in _chain_points(geo.n)]
 
 
 def bz_map(obj, u: int, direction: str = "forward"):
@@ -354,7 +310,7 @@ def bz_map(obj, u: int, direction: str = "forward"):
     forward: Filling (p2hlr, passage time <= u) -> SpGTPattern of height 2n
     with first part of the shape <= u.  inverse: the reverse.  The map is
     growth along the triangle, extraction of the boundary chain (the
-    oscillating tableau), and entrywise subtraction from u along diagonals.
+    oscillating tableau), and subtraction of each partition from u.
     """
     if direction == "forward":
         filling = obj
@@ -363,51 +319,24 @@ def bz_map(obj, u: int, direction: str = "forward"):
         time = lpp_time(filling)
         if time > u:
             raise ValueError(f"passage time {time} exceeds the bound {u}")
-        tableau = oscillating_tableau(filling)
-        n = tableau.n
-        rows = [
-            tuple(u - tableau.entries[(i, 2 * n - k + i)] for i in range(1, (k + 1) // 2 + 1))
-            for k in range(1, 2 * n + 1)
-        ]
-        return SpGTPattern(rows)
+        chain = oscillating_tableau(filling)
+        return SpGTPattern([_complement(chain[k], k, u) for k in range(1, len(chain))])
 
     if direction == "inverse":
         z = obj
         if not isinstance(z, SpGTPattern):
             raise ValueError("inverse direction expects a symplectic pattern")
-        n = z.letters()
         if z.shape()[0] > u:
             raise ValueError("pattern shape exceeds the bound")
-        geo = Geometry(P2HLR, n)
-        # rebuild the boundary chain
-        chain = [EMPTY]
-        for k in range(1, 2 * n + 1):
-            m = (k + 1) // 2
-            row = z.rows[k - 1]
-            parts = [u - row[m - 1 - r] for r in range(m)]
-            if parts and parts[-1] < 0:
-                raise ValueError("pattern entries exceed the bound")
-            chain.append(Partition(parts))
-        pts: dict[tuple[int, int], Partition] = {}
-        for k, pt in enumerate(_chain_points(n)):
-            pts[pt] = chain[k]
-        for i in (0, 1):
-            pts.setdefault((i, 0), EMPTY)
-        weights = {}
-        for (i, j) in reversed(geo.squares()):
-            nu = pts[(i, j)]
-            alpha = pts[(i - 1, j)]
-            beta = pts[(i - 1, i)] if i == j else pts[(i, j - 1)]
-            kappa, g = invert_local(ROW, alpha, beta, nu)
-            weights[(i, j)] = g
-            prev = pts.get((i - 1, j - 1))
-            if prev is not None and prev != kappa:
-                raise ValueError("inconsistent pattern: growth does not match")
-            pts[(i - 1, j - 1)] = kappa
-        for j in range(0, 2 * n + 1):
-            if pts.get((0, j), EMPTY) != EMPTY:
-                raise ValueError("inconsistent pattern: non-empty axis partition")
-        return Filling(geo, weights)
+        # every entry is at most the shape's first part, so no part is negative
+        chain = [EMPTY] + [
+            Partition(_complement(row, k, u)) for k, row in enumerate(z.rows, start=1)
+        ]
+        geo = Geometry(P2HLR, z.letters())
+        squares = geo.squares()
+        boundary = dict(zip(_chain_points(geo.n), chain))
+        weights = ungrow(squares, boundary, ROW, reflect=True)
+        return Filling(geo, dict(zip(squares, weights)))
 
     raise ValueError(f"unknown direction {direction!r}")
 
@@ -461,37 +390,22 @@ def p2l_map(obj, direction: str = "forward"):
         if not z.shape().has_even_rows():
             raise ValueError("pattern shape must have even rows")
         chain = z.to_chain()
-        pts: list[list[Partition | None]] = [[None] * (n + 1) for _ in range(n + 1)]
-        for i in range(n + 1):
-            pts[i][n] = chain[i]
-            pts[n][i] = chain[i]
-            pts[i][0] = EMPTY
-            pts[0][i] = EMPTY
-        mat = [[0] * n for _ in range(n)]
-        for j in range(n, 0, -1):
-            for i in range(n, 0, -1):
-                kappa, g = invert_local(COL, pts[i - 1][j], pts[i][j - 1], pts[i][j])
-                mat[i - 1][j - 1] = g
-                prev = pts[i - 1][j - 1]
-                if prev is not None and prev != kappa:
-                    raise ValueError("inconsistent pattern: growth does not match")
-                pts[i - 1][j - 1] = kappa
-        weights = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if mat[i - 1][j - 1] != mat[j - 1][i - 1]:
-                    raise ValueError("reconstruction is not symmetric")
-        for i in range(1, n + 1):
-            if mat[i - 1][i - 1] % 2:
-                raise ValueError("reconstruction has an odd hypotenuse entry")
+        boundary = {}
+        for i, lam in enumerate(chain):
+            boundary[i, n] = boundary[n, i] = lam
+        flat = ungrow(rectangle(n, n), boundary, COL)
+        mat = [flat[r * n:(r + 1) * n] for r in range(n)]
+        if any(mat[i][j] != mat[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("reconstruction is not symmetric")
+        if any(mat[i][i] % 2 for i in range(n)):
+            raise ValueError("reconstruction has an odd hypotenuse entry")
+        # undo _p2l_matrix: square (i, j) is entry (i, n+1-j), halved on the
+        # hypotenuse i + j = n + 1
         geo = Geometry(P2L, n)
-        for i in range(1, n + 1):
-            for jj in range(1, n + 2 - i):
-                jprime = n + 1 - jj  # >= i inside the triangle
-                if i < jprime:
-                    weights[(i, jj)] = mat[i - 1][jprime - 1]
-                else:
-                    weights[(i, jj)] = mat[i - 1][i - 1] // 2
+        weights = {}
+        for i, j in geo.squares():
+            w = mat[i - 1][n - j]
+            weights[i, j] = w // 2 if i + j == n + 1 else w
         return Filling(geo, weights)
 
     raise ValueError(f"unknown direction {direction!r}")

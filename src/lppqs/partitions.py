@@ -104,69 +104,24 @@ def _chain_from_rows(rows: Sequence[Sequence[int]]) -> list[Partition]:
     return chain
 
 
-class GTPattern:
-    """Triangular interlacing integer array; row i has i entries.
+class Pattern:
+    """Interlacing integer array; row i has row_length(i) entries.
 
-    Equivalent to the chain of partitions empty = l(0) < l(1) < ... < l(n)
-    read off row by row (row i, zero-padded, is l(i)).
+    Equivalent to the chain of partitions empty = l(0) < l(1) < ... < l(h)
+    read off row by row: row i, zero-padded, is l(i), so l(i) has at most
+    row_length(i) parts.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        for i, row in enumerate(rows, start=1):
-            if len(row) != i:
-                raise ValueError(f"row {i} must have {i} entries, got {row}")
-            if row[-1] < 0:
-                raise ValueError(f"entries must be non-negative: {row}")
-        chain = _chain_from_rows(rows)
-        for lo, hi in zip(chain, chain[1:]):
-            if not interlaces(lo, hi):
-                raise ValueError(f"rows do not interlace: {lo!r} vs {hi!r}")
-        self.rows = rows
-
-    def height(self) -> int:
-        return len(self.rows)
-
-    def shape(self) -> Partition:
-        return Partition(self.rows[-1]) if self.rows else EMPTY
-
-    def to_chain(self) -> list[Partition]:
-        return _chain_from_rows(self.rows)
-
-    @classmethod
-    def from_chain(cls, chain: Sequence[Partition]) -> "GTPattern":
-        """Build from [empty, l(1), ..., l(n)] (leading empty partition)."""
-        if not chain or chain[0] != EMPTY:
-            raise ValueError("chain must start with the empty partition")
-        return cls([lam.pad(i) for i, lam in enumerate(chain) if i > 0])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GTPattern) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(("GT", self.rows))
-
-    def __repr__(self) -> str:
-        return f"GTPattern({list(map(list, self.rows))})"
-
-
-class SpGTPattern:
-    """Half-triangular interlacing array of height 2n; row i has ceil(i/2) entries.
-
-    Entries beyond a row's stored length count as 0, which makes the rows,
-    zero-padded, an interlacing chain with length(l(i)) <= ceil(i/2).
-    """
-
-    __slots__ = ("rows",)
+    @staticmethod
+    def row_length(i: int) -> int:
+        raise NotImplementedError
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if len(rows) % 2 != 0:
-            raise ValueError("a symplectic pattern has an even number of rows")
         for i, row in enumerate(rows, start=1):
-            want = (i + 1) // 2
+            want = self.row_length(i)
             if len(row) != want:
                 raise ValueError(f"row {i} must have {want} entries, got {row}")
             if row[-1] < 0:
@@ -180,10 +135,6 @@ class SpGTPattern:
     def height(self) -> int:
         return len(self.rows)
 
-    def letters(self) -> int:
-        """Number n of base alphabet letters (height = 2n)."""
-        return len(self.rows) // 2
-
     def shape(self) -> Partition:
         return Partition(self.rows[-1]) if self.rows else EMPTY
 
@@ -191,22 +142,52 @@ class SpGTPattern:
         return _chain_from_rows(self.rows)
 
     @classmethod
-    def from_chain(cls, chain: Sequence[Partition]) -> "SpGTPattern":
+    def from_chain(cls, chain: Sequence[Partition]):
+        """Build from [empty, l(1), ..., l(h)] (leading empty partition)."""
         if not chain or chain[0] != EMPTY:
             raise ValueError("chain must start with the empty partition")
-        return cls([lam.pad((i + 1) // 2) for i, lam in enumerate(chain) if i > 0])
+        return cls([lam.pad(cls.row_length(i)) for i, lam in enumerate(chain) if i > 0])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SpGTPattern) and self.rows == other.rows
+        return type(other) is type(self) and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(("SpGT", self.rows))
+        return hash((type(self).__name__, self.rows))
 
     def __repr__(self) -> str:
-        return f"SpGTPattern({list(map(list, self.rows))})"
+        return f"{type(self).__name__}({list(map(list, self.rows))})"
 
 
-def gt_type(z: GTPattern | SpGTPattern) -> tuple[int, ...]:
+class GTPattern(Pattern):
+    """Triangular pattern of height n; row i has i entries."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def row_length(i: int) -> int:
+        return i
+
+
+class SpGTPattern(Pattern):
+    """Half-triangular pattern of height 2n; row i has ceil(i/2) entries."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def row_length(i: int) -> int:
+        return (i + 1) // 2
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        if len(rows) % 2 != 0:
+            raise ValueError("a symplectic pattern has an even number of rows")
+        super().__init__(rows)
+
+    def letters(self) -> int:
+        """Number n of base alphabet letters (height = 2n)."""
+        return len(self.rows) // 2
+
+
+def gt_type(z: Pattern) -> tuple[int, ...]:
     """Row-sum increments of a pattern; length = height, entries >= 0."""
     sums = [0] + [sum(row) for row in z.rows]
     return tuple(b - a for a, b in zip(sums, sums[1:]))
@@ -280,7 +261,7 @@ class Tableau:
                     f"cells of symbol {symbol_name(kind, n, k)} do not form a "
                     f"{what} strip"
                 )
-            if kind in (SPT, OOT) and not last and len(hi) > (k + 1) // 2:
+            if kind in (SPT, OOT) and not last and len(hi) > SpGTPattern.row_length(k):
                 raise ValueError(f"row restriction violated at symbol code {k}")
 
     def shape(self) -> Partition:
@@ -335,7 +316,7 @@ def _rows_from_chain(chain: Sequence[Partition]) -> list[list[int]]:
     return rows
 
 
-def pattern_to_tableau(z: GTPattern | SpGTPattern) -> Tableau:
+def pattern_to_tableau(z: Pattern) -> Tableau:
     """Bijection from patterns to tableaux (ordinary -> ssyt, symplectic -> spt)."""
     if isinstance(z, GTPattern):
         return Tableau(SSYT, z.height(), _rows_from_chain(z.to_chain()))
@@ -344,7 +325,7 @@ def pattern_to_tableau(z: GTPattern | SpGTPattern) -> Tableau:
     raise TypeError(f"expected a pattern, got {type(z).__name__}")
 
 
-def tableau_to_pattern(t: Tableau) -> GTPattern | SpGTPattern:
+def tableau_to_pattern(t: Tableau) -> Pattern:
     """Inverse of :func:`pattern_to_tableau`; rejects kind 'oot'."""
     if t.kind == SSYT:
         return GTPattern.from_chain([t.subshape(k) for k in range(t.n + 1)])
@@ -423,7 +404,7 @@ def _dual_subpartitions(lam: Partition) -> Iterator[Partition]:
 
 def enumerate_patterns(
     kind: str, height: int, shape: Partition
-) -> Iterator[GTPattern | SpGTPattern | Tableau]:
+) -> Iterator[Pattern | Tableau]:
     """All patterns (or, for odd_orthogonal, tableaux) of given height and shape.
 
     height counts rows: n for ordinary, 2n for the two barred kinds.  The
@@ -431,39 +412,22 @@ def enumerate_patterns(
     odd_orthogonal, on the row-major symbol codes), so its order is stable.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    if kind == ORDINARY:
-        if len(shape) > height:
-            raise ValueError(f"shape {shape!r} too long for height {height}")
-        lengths = list(range(1, height + 1))
-        pats = [GTPattern.from_chain(c) for c in _chains_to(shape, lengths)]
-        pats.sort(key=lambda p: tuple(x for row in p.rows for x in row))
-        yield from pats
-        return
-    if kind == SYMPLECTIC:
-        if height % 2 != 0:
-            raise ValueError("symplectic height must be even (2n rows)")
-        n = height // 2
-        if len(shape) > n:
-            raise ValueError(f"shape {shape!r} too long for {n} letters")
-        lengths = [(i + 1) // 2 for i in range(1, height + 1)]
-        pats = [SpGTPattern.from_chain(c) for c in _chains_to(shape, lengths)]
-        pats.sort(key=lambda p: tuple(x for row in p.rows for x in row))
-        yield from pats
-        return
+    if kind not in (ORDINARY, SYMPLECTIC, ODD_ORTHOGONAL):
+        raise ValueError(f"unknown pattern kind {kind!r}")
+    if kind != ORDINARY and height % 2 != 0:
+        raise ValueError(f"{kind} height must be even (2n rows)")
+    cls = GTPattern if kind == ORDINARY else SpGTPattern
+    if len(shape) > cls.row_length(height):
+        raise ValueError(f"shape {shape!r} too long for height {height}")
+    lengths = [cls.row_length(i) for i in range(1, height + 1)]
     if kind == ODD_ORTHOGONAL:
-        if height % 2 != 0:
-            raise ValueError("odd orthogonal height must be even (2n rows)")
-        n = height // 2
-        if len(shape) > n:
-            raise ValueError(f"shape {shape!r} too long for {n} letters")
-        lengths = [(i + 1) // 2 for i in range(1, height + 1)]
-        tabs = []
-        for nu in _dual_subpartitions(shape):
-            for chain in _chains_to(nu, lengths):
-                # labelling the final dual step puts code 2n+1 = INF in place
-                rows = _rows_from_chain(chain + [shape])
-                tabs.append(Tableau(OOT, n, rows))
-        tabs.sort(key=lambda t: tuple(x for row in t.rows for x in row))
-        yield from tabs
-        return
-    raise ValueError(f"unknown pattern kind {kind!r}")
+        # labelling the final dual step puts code 2n+1 = INF in place
+        out = [
+            Tableau(OOT, height // 2, _rows_from_chain(chain + [shape]))
+            for nu in _dual_subpartitions(shape)
+            for chain in _chains_to(nu, lengths)
+        ]
+    else:
+        out = [cls.from_chain(chain) for chain in _chains_to(shape, lengths)]
+    out.sort(key=lambda z: tuple(x for row in z.rows for x in row))
+    yield from out

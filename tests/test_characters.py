@@ -199,6 +199,17 @@ def test_box_partitions_colex_order():
     assert got == [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
     even = [p.parts for p in box_partitions(2, 2, even_rows_only=True)]
     assert even == [(), (2,), (2, 2)]
+    # every weakly decreasing n-tuple of parts <= u, sorted by reversed tuple
+    for u in range(7):
+        for n in range(5):
+            for even_rows in (False, True):
+                step = 2 if even_rows else 1
+                tuples = [
+                    t for t in itertools.product(range(0, u + 1, step), repeat=n)
+                    if all(a >= b for a, b in zip(t, t[1:]))
+                ]
+                want = [Partition(t) for t in sorted(tuples, key=lambda t: t[::-1])]
+                assert list(box_partitions(u, n, even_rows)) == want, (u, n, even_rows)
 
 
 def test_seven_by_seven_determinant():

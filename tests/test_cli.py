@@ -154,6 +154,31 @@ def test_flags_a_run_ignores_are_usage_errors(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_max_dim_off_greene_is_a_usage_error():
+    # only the greene suite reads --max-dim
+    for args in (
+        ("--scope", "okada", "--n", "1", "--u", "1"),
+        ("--scope", "theorem", "--n", "1", "--u", "2"),
+        ("--scope", "stembridge", "--n", "1", "--u", "2"),
+        ("--scope", "roundtrips", "--trials", "2"),
+    ):
+        res = run_cli("verify", *args, "--max-dim", "3")
+        assert res.returncode == 2, args
+        assert res.stdout == "", args
+        assert res.stderr == f"error: --scope {args[1]} takes no --max-dim\n", args
+
+
+def test_rsk_empty_pattern_file_is_a_parse_error(tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("\n")
+    for geometry, bound in (("p2hlr", ["--u", "2"]), ("p2l", [])):
+        res = run_cli("rsk", "--geometry", geometry, *bound, "--direction", "inverse",
+                      "--input", str(f))
+        assert res.returncode == 2, geometry
+        assert res.stdout == "", geometry
+        assert res.stderr == "error: cannot parse input: empty pattern file\n", geometry
+
+
 def test_rsk_parse_error_exit_two(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("1 2\n3 4\n")  # full square is not a p2l domain

@@ -5,10 +5,14 @@ from lppqs.growth import (
     apply_local,
     col_rsk_local,
     greene_oracle,
+    grow,
     grow_grid,
     invert_local,
+    rectangle,
     row_rsk_local,
+    ungrow,
 )
+from lppqs.lpp import Geometry
 from lppqs.partitions import EMPTY, Partition, interlaces
 
 P = Partition
@@ -113,6 +117,39 @@ def test_cell_conservation_everywhere(rng):
                         + mat[i - 1][j - 1]
                     )
                     assert lhs == rhs
+
+
+def _boundary(squares, pts):
+    """The grown points that are no square's lower-left corner."""
+    corners = {(i - 1, j - 1) for i, j in squares}
+    return {pt: part for pt, part in pts.items() if pt not in corners}
+
+
+def test_ungrow_inverts_grow_on_rectangles(rng):
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        squares = rectangle(m, n)
+        weights = [rng.randint(0, 4) for _ in squares]
+        for rule in ("row", "col"):
+            pts = grow(squares, weights, rule)
+            assert ungrow(squares, _boundary(squares, pts), rule) == weights
+
+
+def test_ungrow_inverts_reflected_growth_on_quarter_squares(rng):
+    for _ in range(40):
+        squares = Geometry("p2hlr", rng.randint(1, 4)).squares()
+        weights = [rng.randint(0, 3) if rng.random() < 0.5 else 0 for _ in squares]
+        pts = grow(squares, weights, "row", reflect=True)
+        boundary = _boundary(squares, pts)
+        assert ungrow(squares, boundary, "row", reflect=True) == weights
+
+
+def test_ungrow_rejects_a_non_empty_axis_partition():
+    # (1, 1) inverts to weight 1 and kappa empty, but the axis point (0, 1)
+    # holds (1): no filling grows this boundary
+    boundary = {(0, 1): P([1]), (1, 0): EMPTY, (1, 1): P([2])}
+    with pytest.raises(ValueError, match="axis"):
+        ungrow(rectangle(1, 1), boundary, "row")
 
 
 def test_greene_oracle_examples():
