@@ -6,10 +6,10 @@ west neighbour), read the boundary chain, and subtract each partition,
 reversed, from the bound u.  The result is a half pattern
 whose monomial recovers the filling's weight.
 
-Point to line: flip the triangle, double the hypotenuse, reflect to a
-symmetric matrix, grow with the column rule; the boundary chain is an
-ordinary pattern with an all-even shape whose first part is twice the
-passage time.
+Point to line: flip the triangle onto the point-to-point triangle, double
+the hypotenuse, and grow with the column rule, the diagonal reflecting as
+in the quarter square; the chain along the top row is an ordinary pattern
+with an all-even shape whose first part is twice the passage time.
 """
 
 from lppqs import (

@@ -134,9 +134,6 @@ class LaurentPolynomial:
         return cls.monomial(exps, nvars)
 
     # predicates
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -382,7 +379,7 @@ def _det_cofactor(mat: list[list[LaurentPolynomial]], nvars: int) -> LaurentPoly
         return mat[0][0]
     total = LaurentPolynomial.zero(nvars)
     for i in range(size):
-        if mat[i][0].is_zero():
+        if not mat[i][0]:
             continue
         minor = [row[1:] for k, row in enumerate(mat) if k != i]
         cof = mat[i][0] * _det_cofactor(minor, nvars)

@@ -506,8 +506,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationBudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EnumerationBudgetError, MemoryError, ValueError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .characters import LaurentPolynomial, check_exponent_range, pack_exponents
-from .growth import COL, ROW, grow, grow_grid, rectangle, ungrow
+from .growth import COL, ROW, grow, ungrow
 from .partitions import EMPTY, GTPattern, Partition, SpGTPattern
 
 P2HLR = "p2hlr"
@@ -111,7 +111,10 @@ class Geometry:
 
 
 class Filling:
-    """Non-negative integer weights on the squares of a geometry."""
+    """Non-negative integer weights on the squares of a geometry.
+
+    weights holds every square of the domain, in squares() order.
+    """
 
     __slots__ = ("geometry", "weights")
 
@@ -189,20 +192,18 @@ class Filling:
 
 
 def lpp_time(filling: Filling) -> int:
-    """Maximum weight of an up-right polymer from (1, 1) to the terminal set."""
-    geo = filling.geometry
-    dp: dict[tuple[int, int], int] = {}
-    for (i, j) in geo.squares():
-        best = 0
-        seen = False
-        for pi, pj in ((i - 1, j), (i, j - 1)):
-            if (pi, pj) in dp:
-                best = max(best, dp[(pi, pj)])
-                seen = True
-        if not seen and (i, j) != (1, 1):
-            raise AssertionError(f"unreachable square ({i}, {j})")
-        dp[(i, j)] = best + filling.weights[(i, j)]
-    return max(dp[sq] for sq in geo.terminal_squares())
+    """Maximum weight of an up-right polymer from (1, 1) to the terminal set.
+
+    In every domain a column's squares sit in consecutive rows and a square
+    in column i >= 2 has its west neighbour inside, so a walk in squares()
+    order keeps one value per column: front[i] = max(front[i], front[i-1])
+    + w.  Every square reaches a terminal square and weights are
+    non-negative, so the passage time is the largest final column value.
+    """
+    front = [0] * (filling.geometry.n + 1)
+    for (i, _j), w in filling.weights.items():
+        front[i] = max(front[i], front[i - 1]) + w
+    return max(front)
 
 
 def weight_of(filling: Filling) -> LaurentPolynomial:
@@ -221,9 +222,10 @@ def generating_series(
 ) -> LaurentPolynomial:
     """Sum of weight_of(W) over all fillings with lpp_time(W) <= bound.
 
-    Pruned exhaustive enumeration: every square of each geometry can reach a
-    terminal square, so any partial passage time above the bound kills the
-    branch.  Raises EnumerationBudgetError past the node budget.
+    Pruned exhaustive enumeration in squares() order, with the column
+    frontier of lpp_time: every square of each geometry can reach a terminal
+    square, so any partial passage time above the bound kills the branch.
+    Raises EnumerationBudgetError past the node budget.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -233,14 +235,9 @@ def generating_series(
     steps = [pack_exponents(e) for e in evecs]
     # every weight is at most the bound, so no exponent passes this
     exponent_bound = bound * max(map(sum, zip(*evecs)))
-    preds: list[list[int]] = []
-    index = {sq: k for k, sq in enumerate(squares)}
-    for (i, j) in squares:
-        preds.append(
-            [index[p] for p in ((i - 1, j), (i, j - 1)) if p in index]
-        )
+    columns = [i for i, _j in squares]
     nsq = len(squares)
-    dp = [0] * nsq
+    front = [0] * (geo.n + 1)
     key = 0  # packed exponent vector of the partial filling
     terms: dict[int, int] = {}
     nodes = 0
@@ -250,7 +247,9 @@ def generating_series(
         if k == nsq:
             terms[key] = terms.get(key, 0) + 1
             return
-        base = max((dp[p] for p in preds[k]), default=0)
+        i = columns[k]
+        south = front[i]
+        base = max(south, front[i - 1])
         step = steps[k]
         top = bound - base
         for w in range(0, top + 1):
@@ -259,11 +258,12 @@ def generating_series(
                 raise EnumerationBudgetError(
                     f"enumeration exceeded {node_budget} nodes"
                 )
-            dp[k] = base + w
+            front[i] = base + w
             rec(k + 1)
             if w < top:
                 key += step
         key -= top * step
+        front[i] = south
 
     check_exponent_range(exponent_bound)
     rec(0)
@@ -344,43 +344,28 @@ def bz_map(obj, u: int, direction: str = "forward"):
 # --- the point-to-line bijection ---------------------------------------------
 
 
-def _p2l_matrix(filling: Filling) -> list[list[int]]:
-    """Flip the triangle upside down, double the hypotenuse, reflect.
-
-    Returns the symmetric n x n matrix M with M[i-1][j-1] the entry of
-    square (i, j), indexed from the bottom-left corner.
-    """
-    geo = filling.geometry
-    n = geo.n
-    mat = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i < j:
-                mat[i - 1][j - 1] = filling.weights[(i, n + 1 - j)]
-            elif i > j:
-                mat[i - 1][j - 1] = filling.weights[(j, n + 1 - i)]
-            else:
-                mat[i - 1][j - 1] = 2 * filling.weights[(i, n + 1 - i)]
-    return mat
-
-
 def p2l_map(obj, direction: str = "forward"):
     """Bijection between point-to-line fillings and even-shaped patterns.
 
     forward: Filling (p2l) -> GTPattern of height n whose shape has all
-    parts even and first part twice the passage time.  The filling is made
-    into a symmetric matrix (flip, double the hypotenuse, reflect) and grown
-    with the column rule; the north boundary chain is the pattern.
+    parts even and first part twice the passage time.  The filling is
+    flipped onto the p2pr triangle, square (i, j) of the triangle carrying
+    the weight at (i, n+1-j), with the hypotenuse doubled; column-rule
+    growth with the reflecting diagonal then puts the pattern's chain on
+    the points (0, n) .. (n, n) of the top edge.  This is the growth of the symmetric n x n matrix the
+    triangle folds out to, read on one half.
     """
     if direction == "forward":
         filling = obj
         if not isinstance(filling, Filling) or filling.geometry.kind != P2L:
             raise ValueError("forward direction expects a p2l filling")
-        grid = grow_grid(_p2l_matrix(filling), COL)
-        north = grid.north_chain()
-        if north != grid.east_chain():
-            raise AssertionError("symmetric input grew an asymmetric diagram")
-        return GTPattern.from_chain(north)
+        n = filling.geometry.n
+        squares = Geometry(P2PR, n).squares()
+        weights = [
+            filling.weights[i, n + 1 - j] * (2 if i == j else 1) for i, j in squares
+        ]
+        pts = grow(squares, weights, COL, reflect=True)
+        return GTPattern.from_chain([pts[i, n] for i in range(n + 1)])
 
     if direction == "inverse":
         z = obj
@@ -389,23 +374,15 @@ def p2l_map(obj, direction: str = "forward"):
         n = z.height()
         if not z.shape().has_even_rows():
             raise ValueError("pattern shape must have even rows")
-        chain = z.to_chain()
-        boundary = {}
-        for i, lam in enumerate(chain):
-            boundary[i, n] = boundary[n, i] = lam
-        flat = ungrow(rectangle(n, n), boundary, COL)
-        mat = [flat[r * n:(r + 1) * n] for r in range(n)]
-        if any(mat[i][j] != mat[j][i] for i in range(n) for j in range(i)):
-            raise ValueError("reconstruction is not symmetric")
-        if any(mat[i][i] % 2 for i in range(n)):
-            raise ValueError("reconstruction has an odd hypotenuse entry")
-        # undo _p2l_matrix: square (i, j) is entry (i, n+1-j), halved on the
-        # hypotenuse i + j = n + 1
-        geo = Geometry(P2L, n)
+        squares = Geometry(P2PR, n).squares()
+        boundary = {(i, n): lam for i, lam in enumerate(z.to_chain())}
         weights = {}
-        for i, j in geo.squares():
-            w = mat[i - 1][n - j]
-            weights[i, j] = w // 2 if i + j == n + 1 else w
-        return Filling(geo, weights)
+        for (i, j), w in zip(squares, ungrow(squares, boundary, COL, reflect=True)):
+            if i == j:
+                if w % 2:
+                    raise ValueError("reconstruction has an odd hypotenuse entry")
+                w //= 2
+            weights[i, n + 1 - j] = w
+        return Filling(Geometry(P2L, n), weights)
 
     raise ValueError(f"unknown direction {direction!r}")

@@ -16,6 +16,7 @@ Everything here is an immutable value; all functions are pure.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 
@@ -342,24 +343,12 @@ ODD_ORTHOGONAL = "odd_orthogonal"
 
 
 def _interlacings_below(lam: Partition, max_len: int) -> Iterator[Partition]:
-    """All mu < lam with at most max_len parts."""
+    """All mu < lam with at most max_len parts, in lexicographic order."""
     if len(lam) > max_len + 1:
         return
-    k = min(len(lam), max_len)
-    if k == 0:
-        yield EMPTY
-        return
-
-    def rec(j: int, prefix: list[int]) -> Iterator[Partition]:
-        if j == k:
-            yield Partition(prefix)
-            return
-        for v in range(lam[j + 1], lam[j] + 1):
-            prefix.append(v)
-            yield from rec(j + 1, prefix)
-            prefix.pop()
-
-    yield from rec(0, [])
+    ranges = (range(lam[j + 1], lam[j] + 1) for j in range(min(len(lam), max_len)))
+    for parts in itertools.product(*ranges):
+        yield Partition(parts)
 
 
 def _chains_to(lam: Partition, lengths: Sequence[int]) -> Iterator[list[Partition]]:
@@ -385,21 +374,12 @@ def _chains_to(lam: Partition, lengths: Sequence[int]) -> Iterator[list[Partitio
 
 
 def _dual_subpartitions(lam: Partition) -> Iterator[Partition]:
-    """All nu with nu <' lam (lam/nu a vertical strip)."""
-
-    def rec(j: int, prefix: list[int]) -> Iterator[Partition]:
-        if j == len(lam):
-            yield Partition(prefix)
-            return
-        for d in (0, 1):
-            v = lam[j] - d
-            if v < 0 or (prefix and v > prefix[-1]):
-                continue
-            prefix.append(v)
-            yield from rec(j + 1, prefix)
-            prefix.pop()
-
-    yield from rec(0, [])
+    """All nu with nu <' lam (lam/nu a vertical strip), lam first, in
+    decreasing lexicographic order."""
+    for drops in itertools.product((0, 1), repeat=len(lam)):
+        parts = [p - d for p, d in zip(lam, drops)]
+        if all(a >= b for a, b in zip(parts, parts[1:])):
+            yield Partition(parts)
 
 
 def enumerate_patterns(

@@ -345,6 +345,24 @@ def test_simulate_rejects_negative_q():
     assert res.stderr.startswith("error: parameter")
 
 
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 72.8 TiB"), "Unable to allocate 72.8 TiB"),
+    (MemoryError(), "MemoryError"),
+], ids=["message", "bare"])
+def test_out_of_memory_is_a_budget_error(monkeypatch, capsys, exc, message):
+    # stands in for numpy's allocation failure on a huge --samples, so
+    # nothing is allocated
+    import lppqs.cli
+
+    def no_memory(spec, n_samples):
+        raise exc
+
+    monkeypatch.setattr(lppqs.cli, "sample_lpp", no_memory)
+    argv = ["simulate", "--n", "1", "--samples", "10000000000000", "--y", "0.5"]
+    assert lppqs.cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_exit_codes_on_drawn_arguments(tmp_path):
     """Any small drawn command line exits 0, 1 or 2; only argparse's
     SystemExit(2) escapes main, never another exception."""

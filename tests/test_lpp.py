@@ -12,7 +12,9 @@ from lppqs.characters import (
     character_jt,
     product_of_variables,
 )
+from lppqs.growth import grow_grid
 from lppqs.lpp import (
+    KINDS,
     EnumerationBudgetError,
     Filling,
     Geometry,
@@ -60,6 +62,30 @@ def test_lpp_time_matches_path_enumeration(rng):
             n = rng.randint(1, 3)
             f = random_filling(Geometry(kind, n), rng, max_entry=4, density=0.6)
             assert lpp_time(f) == lpp_time_by_paths(f)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_column_frontier_invariants(kind):
+    # what the one-value-per-column walks of lpp_time, generating_series and
+    # sample_passage_times rely on
+    for n in range(1, 9):
+        geo = Geometry(kind, n)
+        squares = geo.squares()
+        assert squares == sorted(squares, key=lambda sq: (sq[1], sq[0]))
+        assert list(Filling(geo, {}).weights) == squares
+        # each column's squares sit in one run of consecutive rows
+        for i in range(1, n + 1):
+            rows = [j for c, j in squares if c == i]
+            assert rows == list(range(rows[0], rows[0] + len(rows)))
+        # a square east of column 1 has its west neighbour in the domain
+        assert all(geo.contains(i - 1, j) for i, j in squares if i >= 2)
+        # every square reaches a terminal square by up-right steps
+        terminals = set(geo.terminal_squares())
+        reach = set()
+        for i, j in reversed(squares):
+            if (i, j) in terminals or (i + 1, j) in reach or (i, j + 1) in reach:
+                reach.add((i, j))
+        assert reach == set(squares)
 
 
 def test_weight_of_examples():
@@ -211,6 +237,21 @@ def test_p2l_round_trip_properties(rng):
             col[i - 1] += w
             col[n - j] += w
         assert tuple(col) == ty
+
+
+def test_p2l_map_matches_full_square_growth(rng):
+    # independent route: flip the triangle, double the hypotenuse, reflect
+    # into the full symmetric n x n matrix and grow all of it
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        f = random_filling(Geometry("p2l", n), rng, max_entry=3, density=0.5)
+        mat = [[0] * n for _ in range(n)]
+        for (i, j), w in f.weights.items():
+            a, b = i, n + 1 - j
+            mat[a - 1][b - 1] = mat[b - 1][a - 1] = 2 * w if a == b else w
+        grid = grow_grid(mat, "col")
+        assert grid.north_chain() == grid.east_chain()
+        assert GTPattern.from_chain(grid.north_chain()) == p2l_map(f, "forward")
 
 
 @pytest.mark.parametrize("n,u", [(1, 2), (1, 4), (2, 2)])

@@ -2,11 +2,15 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lppqs.lpp import Geometry
+from conftest import lpp_time_by_paths
+from lppqs.lpp import KINDS, Filling, Geometry, lpp_time
 from lppqs.probability import (
     GeometricSpec,
+    _geometric_draws,
+    _square_stream,
     exact_cdf,
     factorization_report,
     normalization_constant,
@@ -103,6 +107,26 @@ def test_sampling_is_deterministic():
     # a different seed must change the samples
     r3 = sample_lpp(GeometricSpec(HALF, Geometry("p2hlr", 3), seed=12), 3000)
     assert r3.cdf != r1.cdf
+
+
+def test_sampled_times_are_passage_times_of_the_drawn_fillings():
+    # redraw each square's stream and rebuild the fillings the sampler saw
+    samples, seed, y = 30, 4, 0.6
+    for kind in KINDS:
+        for n in (1, 2, 4):
+            geo = Geometry(kind, n)
+            squares = geo.squares()
+            draws = [
+                _geometric_draws(
+                    _square_stream(seed, kind, s), y ** sum(geo.variable_exponent(*sq)), samples
+                )
+                for s, sq in enumerate(squares)
+            ]
+            times = sample_passage_times(GeometricSpec(y, geo, seed), samples)
+            assert times.dtype == np.int64
+            for t in range(samples):
+                f = Filling(geo, {sq: int(d[t]) for sq, d in zip(squares, draws)})
+                assert times[t] == lpp_time(f) == lpp_time_by_paths(f), (kind, n, t)
 
 
 def test_report_shape():
