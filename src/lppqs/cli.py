@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (verify, cdf):
         p.add_argument("--node-budget", type=int,
                        default=os.environ.get("LPPQS_NODE_BUDGET", 2_000_000),
-                       help="enumeration node budget (env LPPQS_NODE_BUDGET)")
+                       help="generating-series node budget (env LPPQS_NODE_BUDGET)")
 
     return parser
 
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationBudgetError, MemoryError, ValueError) as exc:
+    except (EnumerationBudgetError, MemoryError, OverflowError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

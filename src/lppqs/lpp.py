@@ -31,7 +31,7 @@ KINDS = (P2HLR, P2PR, P2L)
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Raised when an exhaustive enumeration exceeds its node budget."""
+    """Raised when a generating series exceeds its node budget."""
 
 
 class Geometry:
@@ -222,51 +222,49 @@ def generating_series(
 ) -> LaurentPolynomial:
     """Sum of weight_of(W) over all fillings with lpp_time(W) <= bound.
 
-    Pruned exhaustive enumeration in squares() order, with the column
-    frontier of lpp_time: every square of each geometry can reach a terminal
-    square, so any partial passage time above the bound kills the branch.
-    Raises EnumerationBudgetError past the node budget.
+    The column frontier of lpp_time, walked over all fillings at once: a
+    state is the tuple of column values, carrying the series of the partial
+    fillings that reach it.  Weights stop where a column would pass the
+    bound, which is exact because every square reaches a terminal square.
+    A column is reset to 0 after the last square that reads it, so states
+    that differ only in dead columns merge, and one state is left at the
+    end.  A node is one series term carried one square; raises
+    EnumerationBudgetError past the node budget.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     geo = geometry
     squares = geo.squares()
     evecs = [geo.variable_exponent(i, j) for (i, j) in squares]
-    steps = [pack_exponents(e) for e in evecs]
     # every weight is at most the bound, so no exponent passes this
     exponent_bound = bound * max(map(sum, zip(*evecs)))
-    columns = [i for i, _j in squares]
-    nsq = len(squares)
-    front = [0] * (geo.n + 1)
-    key = 0  # packed exponent vector of the partial filling
-    terms: dict[int, int] = {}
-    nodes = 0
-
-    def rec(k: int):
-        nonlocal nodes, key
-        if k == nsq:
-            terms[key] = terms.get(key, 0) + 1
-            return
-        i = columns[k]
-        south = front[i]
-        base = max(south, front[i - 1])
-        step = steps[k]
-        top = bound - base
-        for w in range(0, top + 1):
-            nodes += 1
-            if nodes > node_budget:
-                raise EnumerationBudgetError(
-                    f"enumeration exceeded {node_budget} nodes"
-                )
-            front[i] = base + w
-            rec(k + 1)
-            if w < top:
-                key += step
-        key -= top * step
-        front[i] = south
-
     check_exponent_range(exponent_bound)
-    rec(0)
+    # last[c]: index of the last square that reads column c, in column c or c+1
+    end = {i: k for k, (i, _j) in enumerate(squares)}
+    last = [max(end.get(c, 0), end.get(c + 1, 0)) for c in range(geo.n + 1)]
+    states = {(0,) * (geo.n + 1): {0: 1}}
+    nodes = 0
+    for k, ((i, _j), evec) in enumerate(zip(squares, evecs)):
+        step = pack_exponents(evec)
+        spread: dict[tuple[int, ...], dict[int, int]] = {}
+        while states:
+            front, series = states.popitem()
+            base = max(front[i], front[i - 1])
+            nodes += (bound - base + 1) * len(series)
+            if nodes > node_budget:
+                raise EnumerationBudgetError(f"enumeration exceeded {node_budget} nodes")
+            front = list(front)
+            if last[i - 1] == k:
+                front[i - 1] = 0
+            for w in range(bound - base + 1):
+                front[i] = base + w if last[i] > k else 0
+                out = spread.setdefault(tuple(front), {})
+                shift = w * step
+                for key, count in series.items():
+                    key += shift
+                    out[key] = out.get(key, 0) + count
+        states = spread
+    (terms,) = states.values()
     return LaurentPolynomial.from_packed(geo.n, terms, exponent_bound)
 
 

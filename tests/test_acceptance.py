@@ -43,7 +43,7 @@ def _report(number: int, description: str, ok: bool) -> bool:
 def test_criterion_1_product_of_generating_series():
     t0 = time.time()
     ok = True
-    for n, u in [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]:
+    for n, u in [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2), (4, 4)]:
         lhs = generating_series(Geometry("p2hlr", n), u)
         rhs = generating_series(Geometry("p2pr", n), u) * generating_series(
             Geometry("p2l", n), u // 2
@@ -54,7 +54,7 @@ def test_criterion_1_product_of_generating_series():
     ok = ok and generating_series(Geometry("p2hlr", 1), 2) == known
     ok = ok and known == (1 + x + x**2) * (1 + x**2)
     elapsed = time.time() - t0
-    assert _report(1, f"quarter-square series factorizes, 5 sizes ({elapsed:.1f}s)", ok)
+    assert _report(1, f"quarter-square series factorizes, 6 sizes ({elapsed:.1f}s)", ok)
     assert elapsed < 300
 
 

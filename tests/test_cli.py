@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,27 @@ def test_cdf_budget_exceeded_exit_code():
         "--node-budget", "10",
     )
     assert res.returncode == 2
+
+
+def test_exponent_overflow_is_a_usage_error():
+    # exponents up to 3 * 10^9 leave the packed range before any node is spent
+    res = run_cli("verify", "--scope", "theorem", "--n", "1", "--u", "1000000000")
+    assert res.returncode == 2
+    assert res.stderr == (
+        "error: exponents up to 3000000000 leave the packed range |e| < 2**31\n"
+    )
+
+
+def test_cdf_past_the_recursion_limit(capsys):
+    # 1640 squares; at bound 0 the cdf is the normalization constant
+    from lppqs.cli import main
+    from lppqs.lpp import Geometry
+    from lppqs.probability import normalization_constant
+
+    argv = ["cdf", "--geometry", "p2hlr", "--n", "40", "--y", "1/2", "--u-max", "0"]
+    assert main(argv) == 0
+    z = normalization_constant(Geometry("p2hlr", 40), Fraction(1, 2))
+    assert capsys.readouterr() == (f"P(L <= 0) = {z}\n", "")
 
 
 def test_rsk_p2l_forward_golden(tmp_path):

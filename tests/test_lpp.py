@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import (
@@ -114,31 +116,29 @@ def test_generating_series_examples():
     assert generating_series(Geometry("p2hlr", 1), 2) == 1 + x + 2 * x**2 + x**3 + x**4
     assert generating_series(Geometry("p2pr", 1), 2) == 1 + x + x**2
     assert generating_series(Geometry("p2l", 1), 1) == 1 + x**2
+    # 1640 squares, deeper than Python's default recursion limit
+    assert generating_series(Geometry("p2hlr", 40), 0) == LP.one(40)
 
 
-def test_generating_series_by_direct_enumeration(rng):
-    # cross-check the pruned search against filtering the full weight cube
-    geo = Geometry("p2hlr", 2)
-    bound = 2
-    squares = geo.squares()
-    total = LP.zero(2)
-    count = 0
-
-    def enumerate_all(k, weights):
-        nonlocal total, count
-        if k == len(squares):
-            f = Filling(geo, dict(weights))
-            if lpp_time(f) <= bound:
-                total = total + weight_of(f)
-                count += 1
-            return
-        for w in range(bound + 1):
-            weights[squares[k]] = w
-            enumerate_all(k + 1, weights)
-
-    enumerate_all(0, {})
-    assert generating_series(geo, bound) == total
-    assert count > 0
+def test_generating_series_by_direct_enumeration():
+    # the frontier walk against filtering the full weight cube {0..bound}^squares
+    cases = [(kind, 1, bound) for kind in KINDS for bound in range(7)]
+    cases += [("p2hlr", 2, bound) for bound in range(4)]
+    cases += [(kind, n, bound) for kind in ("p2pr", "p2l") for n in (2, 3)
+              for bound in range(3)]
+    for kind, n, bound in cases:
+        geo = Geometry(kind, n)
+        squares = geo.squares()
+        kept = [
+            f for f in (
+                Filling(geo, dict(zip(squares, ws)))
+                for ws in itertools.product(range(bound + 1), repeat=len(squares))
+            )
+            if lpp_time(f) <= bound
+        ]
+        series = generating_series(geo, bound)
+        assert series == sum(map(weight_of, kept), LP.zero(n)), (kind, n, bound)
+        assert sum(series.terms.values()) == len(kept), (kind, n, bound)
 
 
 def test_generating_series_budget():
