@@ -193,9 +193,12 @@ def cmd_verify(args) -> int:
     if args.scope not in (*INSTANCE_SUITES, "all") and (args.n, args.u) != (None, None):
         print(f"error: --scope {args.scope} takes no --n or --u", file=sys.stderr)
         return 2
-    if args.scope not in ("greene", "all") and args.max_dim is not None:
-        print(f"error: --scope {args.scope} takes no --max-dim", file=sys.stderr)
-        return 2
+    for flag, value, readers in (("--max-dim", args.max_dim, ("greene",)),
+                                 ("--seed", args.seed, ("greene", "roundtrips")),
+                                 ("--node-budget", args.node_budget, ("theorem",))):
+        if value is not None and args.scope not in (*readers, "all"):
+            print(f"error: --scope {args.scope} takes no {flag}", file=sys.stderr)
+            return 2
     if (args.n is None) != (args.u is None):
         print("error: give --n and --u together", file=sys.stderr)
         return 2
@@ -207,6 +210,8 @@ def cmd_verify(args) -> int:
     if args.scope in ("theorem", "stembridge", "all") and args.u is not None and args.u % 2:
         print(f"error: --scope {args.scope} needs an even --u", file=sys.stderr)
         return 2
+    seed = _int_default(args.seed, "LPPQS_SEED", 0)
+    node_budget = _int_default(args.node_budget, "LPPQS_NODE_BUDGET", 2_000_000)
     results = []
     seconds = []  # wall clock per result, shown in text output only
     show_polys = args.n is not None
@@ -226,14 +231,14 @@ def cmd_verify(args) -> int:
         if scope in INSTANCE_SUITES:
             fn, defaults = INSTANCE_SUITES[scope]
             for n, u in [(args.n, args.u)] if show_polys else defaults:
-                run(scope, f"n={n} u={u}", fn, n, u, args.node_budget)
+                run(scope, f"n={n} u={u}", fn, n, u, node_budget)
         elif scope == "greene":
             trials = args.trials or 200
-            run(scope, f"trials={trials}", _greene_suite, trials, args.max_dim or 5, args.seed)
+            run(scope, f"trials={trials}", _greene_suite, trials, args.max_dim or 5, seed)
         else:
             local = args.trials or 1000
             maps = max(1, local // 2)
-            run(scope, f"local={local} maps={maps}", _roundtrip_suite, local, maps, args.seed)
+            run(scope, f"local={local} maps={maps}", _roundtrip_suite, local, maps, seed)
 
     all_ok = all(r["ok"] for r in results)
     if args.format == "json":
@@ -351,10 +356,11 @@ def cmd_cdf(args) -> int:
     if args.u_max < 0:
         print("error: --u-max must be non-negative", file=sys.stderr)
         return 2
+    node_budget = _int_default(args.node_budget, "LPPQS_NODE_BUDGET", 2_000_000)
     geo = Geometry(args.geometry, args.n)
     rows = []
     for u in range(0, args.u_max + 1):
-        rows.append((u, exact_cdf(geo, u, y, node_budget=args.node_budget)))
+        rows.append((u, exact_cdf(geo, u, y, node_budget=node_budget)))
     if args.format == "json":
         out = {
             "geometry": args.geometry,
@@ -382,10 +388,11 @@ def cmd_simulate(args) -> int:
         print("error: parameter must lie strictly between 0 and 1", file=sys.stderr)
         return 2
     y = args.y if args.y is not None else args.q ** 0.5
+    seed = _int_default(args.seed, "LPPQS_SEED", 0)
 
     if args.factorization:
         rep = factorization_report(
-            args.n, y, "monte_carlo", n_samples=args.samples, seed=args.seed
+            args.n, y, "monte_carlo", n_samples=args.samples, seed=seed
         )
         if args.format == "csv":
             lines = ["field,value"] + [f"{k},{v}" for k, v in sorted(rep.items())]
@@ -394,7 +401,7 @@ def cmd_simulate(args) -> int:
             _emit(json.dumps(rep, sort_keys=True), args.output)
         return 0
 
-    spec = GeometricSpec(y, Geometry(args.geometry, args.n), args.seed)
+    spec = GeometricSpec(y, Geometry(args.geometry, args.n), seed)
     report = sample_lpp(spec, args.samples)
     if args.format == "csv":
         _emit(report.to_csv().rstrip("\n"), args.output)
@@ -423,6 +430,21 @@ def _emit(text: str, output: str | None):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _int_default(value: int | None, var: str, default: int) -> int:
+    """An integer option's value: the flag, else the environment variable
+    var, else the built-in default.  Read after parsing, so that a command
+    can tell a flag it does not read from a default that applies to all."""
+    if value is not None:
+        return value
+    text = os.environ.get(var)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{var}: invalid int value: {text!r}") from None
 
 
 def _format_name(text: str) -> str:
@@ -480,9 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="compare the three empirical laws instead of one run")
     simulate.set_defaults(func=cmd_simulate)
 
-    # LPPQS_* defaults are passed as the raw environment strings: argparse
-    # applies an option's type to a string default, so a bad value is a
-    # usage error (exit 2) like a bad flag.
+    # LPPQS_OUTPUT and LPPQS_FORMAT are passed as the raw environment
+    # strings: argparse applies an option's type to a string default, so a
+    # bad value is a usage error (exit 2) like a bad flag.  The integer
+    # defaults are read by _int_default instead.
     for p in (verify, rsk, cdf, simulate):
         p.add_argument("--output", default=os.environ.get("LPPQS_OUTPUT"),
                        help="output file, '-' = stdout (env LPPQS_OUTPUT)")
@@ -491,11 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default=os.environ.get("LPPQS_FORMAT", "text"),
                        help="output format (env LPPQS_FORMAT)")
     for p in (verify, simulate):
-        p.add_argument("--seed", type=int, default=os.environ.get("LPPQS_SEED", 0),
+        p.add_argument("--seed", type=int, default=None,
                        help="random seed (env LPPQS_SEED)")
     for p in (verify, cdf):
-        p.add_argument("--node-budget", type=int,
-                       default=os.environ.get("LPPQS_NODE_BUDGET", 2_000_000),
+        p.add_argument("--node-budget", type=int, default=None,
                        help="generating-series node budget (env LPPQS_NODE_BUDGET)")
 
     return parser

@@ -275,19 +275,6 @@ class Tableau:
     def symbol_count(self, code: int) -> int:
         return sum(1 for row in self.rows for c in row if c == code)
 
-    def letter_weight(self) -> tuple[int, ...]:
-        """Per-letter signed multiplicities.
-
-        SSYT: count of each letter.  Barred alphabets: count(i) - count(i')
-        per base letter i; INF contributes nothing.
-        """
-        if self.kind == SSYT:
-            return tuple(self.symbol_count(i) for i in range(1, self.n + 1))
-        return tuple(
-            self.symbol_count(2 * i - 1) - self.symbol_count(2 * i)
-            for i in range(1, self.n + 1)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tableau)

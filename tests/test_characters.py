@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from lppqs.characters import (
     symplectic_variables,
     unpack_exponents,
 )
-from lppqs.partitions import Partition, enumerate_patterns
+from lppqs.partitions import Partition, enumerate_patterns, gt_type
 
 x = LP.variable(0, 1)
 xinv = LP.variable(0, 1, -1)
@@ -95,6 +96,68 @@ def test_character_tab_examples():
     assert character_tab("schur", Partition([1]), 2) == x1 + x2
     assert character_tab("symplectic", Partition([1]), 1) == x + xinv
     assert character_tab("schur", Partition([2]), 2) == x1**2 + x1 * x2 + x2**2
+
+
+# --- the walk against the enumerate-then-sum oracle ---------------------------
+# The oracle lists every pattern (or odd orthogonal tableau) of the shape and
+# adds one monomial per pattern, the route the memoized walk replaced.
+
+
+def enumerated_character(family, lam, n):
+    if family == "schur":
+        weights = (gt_type(z) for z in enumerate_patterns("ordinary", n, lam))
+    elif family == "symplectic":
+        weights = (
+            tuple(ty[2 * i] - ty[2 * i + 1] for i in range(n))
+            for ty in map(gt_type, enumerate_patterns("symplectic", 2 * n, lam))
+        )
+    else:
+        weights = (
+            tuple(t.symbol_count(2 * i - 1) - t.symbol_count(2 * i) for i in range(1, n + 1))
+            for t in enumerate_patterns("odd_orthogonal", 2 * n, lam)
+        )
+    return LP(n, collections.Counter(weights))
+
+
+def assert_bound_covers_exponents(p):
+    assert all(
+        abs(e) <= p.exponent_bound for key in p.terms for e in unpack_exponents(key, p.nvars)
+    )
+
+
+FAMILIES = ["schur", "symplectic", "odd_orthogonal"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_character_tab_matches_enumerated_patterns(family):
+    cases = [(n, lam) for n in (1, 2, 3) for u in range(5) for lam in box_partitions(u, n)]
+    cases += [(4, Partition([1, 1, 1, 1])), (4, Partition([2, 1, 1, 1]))]
+    for n, lam in cases:
+        tab = character_tab(family, lam, n)
+        assert tab.canonical_text() == enumerated_character(family, lam, n).canonical_text(), (
+            n, lam)
+        assert_bound_covers_exponents(tab)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bounded_character_sum_matches_determinants(family):
+    for n in (1, 2, 3):
+        for u in range(5):
+            for even_rows in (False, True):
+                got = bounded_character_sum(family, u, n, even_rows)
+                want = LP.zero(n)
+                for lam in box_partitions(u, n, even_rows):
+                    want = want + character_jt(family, lam, n)
+                assert got.canonical_text() == want.canonical_text(), (n, u, even_rows)
+                assert_bound_covers_exponents(got)
+
+
+def test_characters_reject_unknown_families():
+    for fn in (character_tab, character_jt):
+        with pytest.raises(ValueError):
+            fn("orthogonal", Partition([1]), 2)
+    with pytest.raises(ValueError):
+        bounded_character_sum("orthogonal", 2, 2)
 
 
 def _box(rows, cols):

@@ -285,6 +285,53 @@ def test_non_integer_environment_default_is_a_usage_error():
         assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("scope,flag", [
+    *((scope, "--seed") for scope in ("theorem", "okada", "stembridge")),
+    *((scope, "--node-budget") for scope in ("okada", "stembridge", "greene", "roundtrips")),
+])
+def test_verify_rejects_seed_and_budget_a_scope_ignores(scope, flag, capsys):
+    from lppqs.cli import main
+
+    sizes = ["--trials", "1"] if scope in ("greene", "roundtrips") else ["--n", "1", "--u", "2"]
+    assert main(["verify", "--scope", scope, *sizes, flag, "4"]) == 2
+    assert capsys.readouterr() == ("", f"error: --scope {scope} takes no {flag}\n")
+
+
+def test_seed_and_budget_environment_defaults_apply_to_every_scope(monkeypatch, capsys):
+    from lppqs.cli import main
+
+    monkeypatch.setenv("LPPQS_SEED", "4")
+    monkeypatch.setenv("LPPQS_NODE_BUDGET", "1")
+    for scope in ("okada", "stembridge"):
+        assert main(["verify", "--scope", scope, "--n", "1", "--u", "2"]) == 0, scope
+    assert main(["verify", "--scope", "greene", "--trials", "1"]) == 0
+    # the theorem suite reads the budget from the environment
+    assert main(["verify", "--scope", "theorem", "--n", "1", "--u", "2"]) == 2
+    assert capsys.readouterr().err == "error: enumeration exceeded 1 nodes\n"
+    argv = ["simulate", "--n", "2", "--y", "0.5", "--samples", "20", "--format", "json"]
+    assert main(argv) == 0
+    from_env = capsys.readouterr().out
+    monkeypatch.delenv("LPPQS_SEED")
+    assert main([*argv, "--seed", "4"]) == 0
+    assert capsys.readouterr().out == from_env
+    # --scope all runs every suite, so it takes both flags
+    assert main(["verify", "--scope", "all", "--n", "1", "--u", "2", "--trials", "2",
+                 "--seed", "3", "--node-budget", "100000"]) == 0
+
+
+def test_verify_theorem_and_okada_at_four_by_four(capsys):
+    from lppqs.cli import main
+
+    argv = ["verify", "--n", "4", "--u", "4", "--format", "json"]
+    assert main([*argv, "--scope", "theorem"]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["checks"] == dict.fromkeys(
+        ("product", "half_pattern_series", "schur_series", "even_schur_series"), True)
+    assert main([*argv, "--scope", "okada"]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert (result["n"], result["u"], result["ok"]) == (4, 4, True)
+
+
 def test_cdf_rejects_negative_u_max():
     res = run_cli("cdf", "--geometry", "p2pr", "--n", "1", "--y", "1/2", "--u-max", "-3")
     assert res.returncode == 2
