@@ -7,15 +7,20 @@ p = y^2 off the reflecting diagonal and p = y on it (q := y^2).
 Exact CDFs multiply the bounded generating series, specialized at y, by the
 total normalization prod_squares (1 - p); everything stays rational.
 Sampling is vectorized and fully deterministic: the stream of square s of a
-geometry is Philox keyed by (seed, geometry_code * 2^48 + s), consumed in
-sample order, and weights come from the closed-form inverse CDF
-floor(log U / log p) with a guard at U = 0.
+geometry is Philox keyed by (seed, geometry_code * 2^48 + s), and weights
+come from the closed-form inverse CDF floor(log U / log p) with a guard at
+U = 0.  Sample t of square s takes U from double t mod 4 of the stream's
+Philox block t // 4.  Philox is counter-based, so any run of samples can be
+drawn on its own: samples are cut into fixed chunks drawn on every CPU the
+process may run on, and the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,19 +94,63 @@ def exact_cdf(
 # --- sampling -----------------------------------------------------------------
 
 
-def _square_stream(seed: int, kind: str, square_index: int) -> np.random.Generator:
-    key = np.array(
-        [seed & _MASK64, ((_GEOMETRY_CODE[kind] << 48) | square_index) & _MASK64],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
-
+# Samples are drawn in chunks of _CHUNK, a multiple of the four doubles one
+# Philox block yields: chunk [a, b) of square s reads the square's stream from
+# block a // 4, so it draws exactly positions a..b-1 of that stream.
+_CHUNK = 1 << 14
 _TINY = np.finfo(np.float64).tiny
 
 
-def _geometric_draws(gen: np.random.Generator, p: float, count: int) -> np.ndarray:
-    u = np.maximum(gen.random(count), _TINY)
-    return np.floor(np.log(u) / math.log(p)).astype(np.int64)
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform can pin a process
+        return os.cpu_count() or 1
+
+
+def _sample_chunks(
+    squares: list[tuple[int, int, float]],
+    seed_word: int,
+    n_rows: int,
+    chunks: list[tuple[int, int]],
+    out: np.ndarray,
+    stop: list,
+) -> None:
+    """Fill out[a:b] for each chunk [a, b), unless stop is set.
+
+    One Philox and one Generator are re-keyed through .state for every
+    (chunk, square); the float pipeline runs in place in one buffer and is
+    cast once per square into the int64 weights.  The frontier stays int64:
+    its sums pass 2^53 when y is close to 1, where float64 would round.
+    """
+    size = min(_CHUNK, len(out))
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    state["state"]["key"] = key = np.array([seed_word, 0], dtype=np.uint64)
+    state["state"]["counter"] = counter = np.zeros(4, dtype=np.uint64)
+    u = np.empty(size)
+    w = np.empty(size, dtype=np.int64)
+    rows = np.empty((n_rows + 1, size), dtype=np.int64)
+    for a, b in chunks:
+        if stop:
+            return
+        front, draw, weight = rows[:, : b - a], u[: b - a], w[: b - a]
+        front.fill(0)
+        counter[0] = a // 4
+        for stream, i, log_p in squares:
+            key[1] = stream
+            bitgen.state = state
+            gen.random(out=draw)
+            np.maximum(draw, _TINY, out=draw)
+            np.log(draw, out=draw)
+            np.divide(draw, log_p, out=draw)
+            np.floor(draw, out=draw)
+            np.copyto(weight, draw, casting="unsafe")
+            np.maximum(front[i], front[i - 1], out=front[i])
+            front[i] += weight
+        np.max(front, axis=0, out=out[a:b])
 
 
 def sample_passage_times(spec: GeometricSpec, n_samples: int) -> np.ndarray:
@@ -110,21 +159,45 @@ def sample_passage_times(spec: GeometricSpec, n_samples: int) -> np.ndarray:
     One value per column, as in lpp.lpp_time: squares() order visits each
     column's squares in consecutive rows, a column reads its west
     neighbour, and the largest final column value is the passage time.
+    Chunks of _CHUNK samples are dealt round-robin to one worker per CPU
+    (the calling thread is one of them); each writes its own slices of the
+    result, so the values do not depend on the number of workers.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     geo = spec.geometry
     y = float(spec.y)
-    # one row per column, row 0 all zero.  The rows are updated in place:
-    # binding a fresh array per square to its column made the allocator
-    # return pages and fault them back in, ~20 % slower at 100 000 samples.
-    front = np.zeros((geo.n + 1, n_samples), dtype=np.int64)
-    for s, (i, j) in enumerate(geo.squares()):
-        p = y ** sum(geo.variable_exponent(i, j))
-        w = _geometric_draws(_square_stream(spec.seed, geo.kind, s), p, n_samples)
-        np.maximum(front[i], front[i - 1], out=front[i])
-        front[i] += w
-    return front.max(axis=0)
+    code = _GEOMETRY_CODE[geo.kind] << 48
+    squares = [
+        ((code | s) & _MASK64, i, math.log(y ** sum(geo.variable_exponent(i, j))))
+        for s, (i, j) in enumerate(geo.squares())
+    ]
+    chunks = [(a, min(a + _CHUNK, n_samples)) for a in range(0, n_samples, _CHUNK)]
+    workers = min(_cpu_count(), len(chunks))
+    out = np.empty(n_samples, dtype=np.int64)
+    stop: list[BaseException] = []  # the first worker failure, if any
+
+    def work(k: int) -> None:
+        try:
+            _sample_chunks(squares, spec.seed & _MASK64, geo.n, chunks[k::workers], out, stop)
+        except BaseException as exc:  # joined and re-raised by the caller
+            stop.append(exc)
+
+    threads = []
+    for k in range(1, workers):
+        thread = threading.Thread(target=work, args=(k,), daemon=True)
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to spare: the caller draws these chunks
+            work(k)
+        else:
+            threads.append(thread)
+    work(0)
+    for thread in threads:
+        thread.join()
+    if stop:
+        raise stop[0]
+    return out
 
 
 def _moments(data: np.ndarray) -> tuple[float, float, float]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -237,6 +238,22 @@ def test_simulate_byte_identical():
     data = json.loads(a.stdout)
     assert data["seed"] == 7
     assert data["samples"] == 3000
+
+
+@pytest.mark.parametrize("args,digest", [
+    # three sample chunks, the last one partial
+    (("--geometry", "p2l", "--n", "7", "--samples", "40003", "--y", "0.55", "--seed", "3"),
+     "1e656175d2e505593febdc8721a7e698"),
+    # a one-sample tail chunk
+    (("--geometry", "p2hlr", "--n", "4", "--samples", "16385", "--q", "0.3", "--seed", "2"),
+     "dab74ab2db87fdd23eeab1a0875a097e"),
+], ids=["p2l-three-chunks", "p2hlr-one-sample-tail"])
+def test_simulate_bytes_are_pinned(capsys, args, digest):
+    # md5 of stdout as first recorded, when each square drew its whole stream at once
+    from lppqs.cli import main
+
+    assert main(["simulate", *args, "--format", "json"]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_simulate_rejects_conflicting_parameters():

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +9,10 @@ import pytest
 
 from conftest import lpp_time_by_paths
 from lppqs.lpp import KINDS, Filling, Geometry, lpp_time
+import lppqs.probability as probability
 from lppqs.probability import (
+    _CHUNK,
     GeometricSpec,
-    _geometric_draws,
-    _square_stream,
     exact_cdf,
     factorization_report,
     normalization_constant,
@@ -21,6 +23,23 @@ from lppqs.probability import (
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+
+
+# --- the redraw oracle: one fresh stream per square, drawn in one call ------
+
+
+def _square_stream(seed, kind, square_index):
+    """Philox keyed by (seed, geometry_code * 2^48 + square_index)."""
+    mask = (1 << 64) - 1
+    code = KINDS.index(kind) + 1
+    key = np.array([seed & mask, ((code << 48) | square_index) & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _geometric_draws(gen, p, count):
+    """floor(log U / log p), guarded at U = 0."""
+    u = np.maximum(gen.random(count), np.finfo(np.float64).tiny)
+    return np.floor(np.log(u) / math.log(p)).astype(np.int64)
 
 
 def test_exact_cdf_closed_forms_point_to_point():
@@ -110,23 +129,92 @@ def test_sampling_is_deterministic():
 
 
 def test_sampled_times_are_passage_times_of_the_drawn_fillings():
-    # redraw each square's stream and rebuild the fillings the sampler saw
-    samples, seed, y = 30, 4, 0.6
-    for kind in KINDS:
-        for n in (1, 2, 4):
-            geo = Geometry(kind, n)
-            squares = geo.squares()
-            draws = [
-                _geometric_draws(
-                    _square_stream(seed, kind, s), y ** sum(geo.variable_exponent(*sq)), samples
-                )
-                for s, sq in enumerate(squares)
-            ]
-            times = sample_passage_times(GeometricSpec(y, geo, seed), samples)
-            assert times.dtype == np.int64
-            for t in range(samples):
-                f = Filling(geo, {sq: int(d[t]) for sq, d in zip(squares, draws)})
-                assert times[t] == lpp_time(f) == lpp_time_by_paths(f), (kind, n, t)
+    # redraw each square's stream and rebuild the fillings the sampler saw:
+    # every sample of a small run, and a few on each side of a chunk boundary.
+    # At y = 0.9999999999999999 the weights are near 2^52 and the times pass
+    # 2^53, which a float64 frontier would round.
+    seed = 4
+    small = (30, range(30))
+    boundary = (_CHUNK + 5, [*range(5), *range(_CHUNK - 5, _CHUNK + 5)])
+    for y, sizes in ((0.6, (1, 2, 4)), (0.9999999999999999, (2,))):
+        for kind in KINDS:
+            for n in sizes:
+                geo = Geometry(kind, n)
+                squares = geo.squares()
+                for samples, checked in (small, boundary):
+                    draws = [
+                        _geometric_draws(
+                            _square_stream(seed, kind, s),
+                            y ** sum(geo.variable_exponent(*sq)),
+                            samples,
+                        )
+                        for s, sq in enumerate(squares)
+                    ]
+                    times = sample_passage_times(GeometricSpec(y, geo, seed), samples)
+                    assert times.dtype == np.int64
+                    for t in checked:
+                        f = Filling(geo, {sq: int(d[t]) for sq, d in zip(squares, draws)})
+                        assert times[t] == lpp_time(f) == lpp_time_by_paths(f), (kind, n, y, t)
+
+
+def test_sampled_times_do_not_depend_on_the_worker_count(monkeypatch):
+    # three workers on fewer cores, switching threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for kind in KINDS:
+            for n in range(1, 5):
+                spec = GeometricSpec(0.6, Geometry(kind, n), seed=8)
+                for samples in (1, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+                    runs = []
+                    for workers in (1, 2, 3):
+                        monkeypatch.setattr(probability, "_cpu_count", lambda: workers)
+                        runs.append(sample_passage_times(spec, samples))
+                    assert runs[0].dtype == np.int64
+                    assert all(np.array_equal(runs[0], r) for r in runs[1:]), (kind, n, samples)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_chunks_of_a_thread_that_cannot_start_are_drawn_by_the_caller(monkeypatch):
+    spec = GeometricSpec(0.6, Geometry("p2hlr", 3), seed=2)
+    expected = sample_passage_times(spec, 2 * _CHUNK + 3)
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(probability, "_cpu_count", lambda: 3)
+    with monkeypatch.context() as m:
+        m.setattr(threading.Thread, "start", no_thread)
+        times = sample_passage_times(spec, 2 * _CHUNK + 3)
+    assert np.array_equal(times, expected)
+
+
+def test_worker_failure_reaches_the_caller(monkeypatch, capsys):
+    # a worker other than the calling thread runs out of memory; nothing is
+    # allocated for it
+    sample_chunks = probability._sample_chunks
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        sample_chunks(*args)
+
+    monkeypatch.setattr(probability, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(probability, "_sample_chunks", failing)
+    before = threading.active_count()
+    spec = GeometricSpec(HALF, Geometry("p2pr", 2), seed=1)
+    with pytest.raises(MemoryError):
+        sample_passage_times(spec, 2 * _CHUNK)
+    assert threading.active_count() == before
+
+    from lppqs.cli import main
+
+    argv = ["simulate", "--geometry", "p2pr", "--n", "2", "--samples", str(2 * _CHUNK),
+            "--y", "0.5"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: Unable to allocate 1.00 TiB\n")
+    assert threading.active_count() == before
 
 
 def test_report_shape():
