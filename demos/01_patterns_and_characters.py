@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
-"""Patterns, tableaux, and characters computed two independent ways.
+"""Patterns and characters computed two independent ways.
 
-A triangular interlacing pattern is the same data as a semi-standard
-tableau; summing a monomial over all patterns of a fixed shape gives a
+Summing a monomial over all interlacing patterns of a fixed shape gives a
 character, and the same character comes out of a determinant of complete
 homogeneous symmetric functions.  This script walks through both routes.
 """
@@ -13,20 +12,18 @@ from lppqs import (
     character_tab,
     enumerate_patterns,
     gt_type,
-    pattern_to_tableau,
 )
 
 lam = Partition([2, 1])
 
 print("Shape:", lam)
 print()
-print("All height-2 patterns of that shape, with their tableaux and types:")
+print("All height-2 patterns of that shape, with their types:")
 for z in enumerate_patterns("ordinary", 2, lam):
-    t = pattern_to_tableau(z)
-    print(f"  rows {list(map(list, z.rows))}  type {gt_type(z)}  tableau {t!r}")
+    print(f"  rows {list(map(list, z.rows))}  type {gt_type(z)}")
 
 print()
-print("Generating series over those patterns (tableau route):")
+print("Generating series over those patterns (pattern route):")
 tab = character_tab("schur", lam, 2)
 print("  ", tab.canonical_text())
 print("Determinant route gives the same polynomial:")
@@ -43,14 +40,13 @@ for z in enumerate_patterns("symplectic", 2, Partition([1])):
     print("  rows", list(map(list, z.rows)))
 
 print()
-print("Odd orthogonal tableaux allow a top symbol that may stack in a")
-print("column but never repeats in a row.  For shape (1,1) and two letters:")
-oots = list(enumerate_patterns("odd_orthogonal", 4, Partition([1, 1])))
-for t in oots:
-    print("  ", repr(t))
+print("The odd orthogonal character of shape lam sums the symplectic patterns")
+print("of every nu with lam/nu a vertical strip.  For lam = (1,1) and two")
+print("variables, their count is the character at all ones:")
+walk = character_tab("odd_orthogonal", Partition([1, 1]), 2).specialize([1, 1])
 count = character_jt("odd_orthogonal", Partition([1, 1]), 2).specialize([1, 1])
-print(f"count = {len(oots)}, determinant evaluated at all ones = {count}")
-assert len(oots) == count
+print(f"  pattern walk = {walk}, determinant = {count}")
+assert walk == count
 
 print()
 print("Characters are symmetric under permuting the variables (and for the")

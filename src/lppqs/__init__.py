@@ -42,12 +42,9 @@ from .partitions import (
     GTPattern,
     Partition,
     SpGTPattern,
-    Tableau,
     enumerate_patterns,
     gt_type,
     interlaces,
-    pattern_to_tableau,
-    tableau_to_pattern,
 )
 from .probability import (
     GeometricSpec,
@@ -75,7 +72,6 @@ __all__ = [
     "ScalingConstants",
     "SimulationReport",
     "SpGTPattern",
-    "Tableau",
     "bounded_character_sum",
     "box_partitions",
     "bz_map",
@@ -97,13 +93,11 @@ __all__ = [
     "okada_product",
     "oscillating_tableau",
     "p2l_map",
-    "pattern_to_tableau",
     "product_of_variables",
     "row_rsk_local",
     "sample_lpp",
     "sample_passage_times",
     "scaling_constants",
-    "tableau_to_pattern",
     "ungrow",
     "weight_of",
 ]

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import (
-    ODD_ORTHOGONAL,
     SYMPLECTIC,
     GTPattern,
     Partition,
@@ -400,6 +399,7 @@ def determinant(mat: list[list[LaurentPolynomial]], nvars: int) -> LaurentPolyno
 # --- characters -------------------------------------------------------------
 
 SCHUR = "schur"
+ODD_ORTHOGONAL = "odd_orthogonal"
 
 
 def _as_partition(lam) -> Partition:
@@ -492,7 +492,7 @@ def _tableau_sum(family: str, n: int, shapes: Iterable[Partition]) -> LaurentPol
 
 
 def character_tab(family: str, lam, n: int) -> LaurentPolynomial:
-    """Character as the generating series of tableaux of the given shape."""
+    """Character as the generating series of the patterns of the given shape."""
     lam = _as_partition(lam)
     if len(lam) > n:
         raise ValueError(f"shape {lam!r} needs more than {n} variables")

@@ -293,7 +293,11 @@ def cmd_rsk(args) -> int:
         print("error: p2hlr needs a bound --u of at least 0", file=sys.stderr)
         return 2
     try:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                text = fh.read()
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
@@ -530,6 +534,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (EnumerationBudgetError, MemoryError, OverflowError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,15 +1,13 @@
-"""Partitions, interlacing relations, Gelfand-Tsetlin patterns and tableaux.
+"""Partitions, interlacing relations and Gelfand-Tsetlin patterns.
 
-Three pattern/tableau kinds are supported:
+Two pattern kinds are supported:
 
-* ordinary   -- triangular patterns of height n <-> semi-standard Young
-                tableaux on the alphabet 1 < 2 < ... < n;
+* ordinary   -- triangular patterns of height n (row i has i entries);
 * symplectic -- half-triangular patterns of height 2n (row i has ceil(i/2)
-                entries) <-> tableaux on 1 < 1' < 2 < 2' < ... < n < n'
-                whose row-i entries are >= i in the alphabet order;
-* odd_orthogonal -- tableaux on the symplectic alphabet extended by a top
-                symbol INF, where the INF cells form a vertical strip (at
-                most one INF per row; INF may repeat down a column).
+                entries).
+
+A pattern is the same data as its chain of interlacing partitions
+(:meth:`Pattern.to_chain`).
 
 Everything here is an immutable value; all functions are pure.
 """
@@ -59,7 +57,9 @@ class Partition:
         if isinstance(other, Partition):
             return self.parts == other.parts
         if isinstance(other, (tuple, list)):
-            return self == Partition(other)
+            # equal iff other is these parts followed by zeros
+            k = len(self.parts)
+            return tuple(other[:k]) == self.parts and not any(other[k:])
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -194,139 +194,10 @@ def gt_type(z: Pattern) -> tuple[int, ...]:
     return tuple(b - a for a, b in zip(sums, sums[1:]))
 
 
-# --- tableaux ---------------------------------------------------------------
-#
-# Symbol encoding: SSYT uses 1..n directly.  For the barred alphabets the
-# code of letter i is 2i-1 and of i' (barred) is 2i, so codes are ordered
-# exactly like the alphabet; INF gets code 2n+1.
-
-SSYT = "ssyt"
-SPT = "spt"
-OOT = "oot"
-
-
-def infinity_code(n: int) -> int:
-    return 2 * n + 1
-
-
-def symbol_name(kind: str, n: int, code: int) -> str:
-    if kind == SSYT:
-        return str(code)
-    if code == infinity_code(n):
-        return "inf"
-    letter = (code + 1) // 2
-    return f"{letter}'" if code % 2 == 0 else str(letter)
-
-
-class Tableau:
-    """Semi-standard filling of a Young diagram over one of three alphabets.
-
-    kind 'ssyt': codes 1..n, rows weakly increase, columns strictly increase.
-    kind 'spt':  codes 1..2n, same rules plus row-i entries >= code 2i-1.
-    kind 'oot':  'spt' rules for codes 1..2n; the INF cells (code 2n+1) form
-                 a vertical strip on top: at most one INF per row, INF may
-                 sit directly below another INF.
-    """
-
-    __slots__ = ("kind", "n", "rows")
-
-    def __init__(self, kind: str, n: int, rows: Sequence[Sequence[int]]):
-        if kind not in (SSYT, SPT, OOT):
-            raise ValueError(f"unknown tableau kind {kind!r}")
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if any(len(row) == 0 for row in rows):
-            raise ValueError("tableau rows must be non-empty")
-        self.kind = kind
-        self.n = int(n)
-        self.rows = rows
-        self._validate()
-
-    def _validate(self) -> None:
-        # with rows sorted, the cells carrying symbols <= k form a prefix of
-        # each row, and strip conditions on those sub-shapes encode exactly
-        # the column rules
-        n, kind = self.n, self.kind
-        top = infinity_code(n) if kind == OOT else (n if kind == SSYT else 2 * n)
-        if kind in (SPT, OOT) and len(self.rows) > n:
-            raise ValueError(f"at most {n} rows for {n} base letters")
-        if any(c < 1 or c > top for row in self.rows for c in row):
-            raise ValueError("symbol code out of range")
-        if any(a > b for row in self.rows for a, b in zip(row, row[1:])):
-            raise ValueError("rows must weakly increase")
-        chain = [self.subshape(k) for k in range(top + 1)]
-        for k, (lo, hi) in enumerate(zip(chain, chain[1:]), start=1):
-            last = kind == OOT and k == top
-            if not interlaces(lo, hi, dual=last):
-                what = "vertical" if last else "horizontal"
-                raise ValueError(
-                    f"cells of symbol {symbol_name(kind, n, k)} do not form a "
-                    f"{what} strip"
-                )
-            if kind in (SPT, OOT) and not last and len(hi) > SpGTPattern.row_length(k):
-                raise ValueError(f"row restriction violated at symbol code {k}")
-
-    def shape(self) -> Partition:
-        return Partition(len(row) for row in self.rows)
-
-    def subshape(self, code: int) -> Partition:
-        """Shape occupied by cells with symbol code <= code."""
-        return Partition(sum(1 for c in row if c <= code) for row in self.rows)
-
-    def symbol_count(self, code: int) -> int:
-        return sum(1 for row in self.rows for c in row if c == code)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tableau)
-            and (self.kind, self.n, self.rows) == (other.kind, other.n, other.rows)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n, self.rows))
-
-    def __repr__(self) -> str:
-        pretty = [
-            " ".join(symbol_name(self.kind, self.n, c) for c in row)
-            for row in self.rows
-        ]
-        return f"Tableau({self.kind}, n={self.n}, [{'; '.join(pretty)}])"
-
-
-def _rows_from_chain(chain: Sequence[Partition]) -> list[list[int]]:
-    """Label the cells of lam(k)/lam(k-1) with k, returning tableau rows."""
-    final = chain[-1]
-    rows = [[0] * final[r] for r in range(len(final))]
-    for k in range(1, len(chain)):
-        lo, hi = chain[k - 1], chain[k]
-        for r in range(len(hi)):
-            for c in range(lo[r], hi[r]):
-                rows[r][c] = k
-    return rows
-
-
-def pattern_to_tableau(z: Pattern) -> Tableau:
-    """Bijection from patterns to tableaux (ordinary -> ssyt, symplectic -> spt)."""
-    if isinstance(z, GTPattern):
-        return Tableau(SSYT, z.height(), _rows_from_chain(z.to_chain()))
-    if isinstance(z, SpGTPattern):
-        return Tableau(SPT, z.letters(), _rows_from_chain(z.to_chain()))
-    raise TypeError(f"expected a pattern, got {type(z).__name__}")
-
-
-def tableau_to_pattern(t: Tableau) -> Pattern:
-    """Inverse of :func:`pattern_to_tableau`; rejects kind 'oot'."""
-    if t.kind == SSYT:
-        return GTPattern.from_chain([t.subshape(k) for k in range(t.n + 1)])
-    if t.kind == SPT:
-        return SpGTPattern.from_chain([t.subshape(k) for k in range(2 * t.n + 1)])
-    raise ValueError("odd orthogonal tableaux have no pattern form here")
-
-
 # --- enumeration ------------------------------------------------------------
 
 ORDINARY = "ordinary"
 SYMPLECTIC = "symplectic"
-ODD_ORTHOGONAL = "odd_orthogonal"
 
 
 def _interlacings_below(lam: Partition, max_len: int) -> Iterator[Partition]:
@@ -369,32 +240,22 @@ def _dual_subpartitions(lam: Partition) -> Iterator[Partition]:
             yield Partition(parts)
 
 
-def enumerate_patterns(
-    kind: str, height: int, shape: Partition
-) -> Iterator[Pattern | Tableau]:
-    """All patterns (or, for odd_orthogonal, tableaux) of given height and shape.
+def enumerate_patterns(kind: str, height: int, shape: Partition) -> Iterator[Pattern]:
+    """All patterns of the given kind, height and shape.
 
-    height counts rows: n for ordinary, 2n for the two barred kinds.  The
-    stream is sorted lexicographically on the row-major entry vector (for
-    odd_orthogonal, on the row-major symbol codes), so its order is stable.
+    height counts rows: n for ordinary, 2n for symplectic.  The stream is
+    sorted lexicographically on the row-major entry vector, so its order is
+    stable.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
-    if kind not in (ORDINARY, SYMPLECTIC, ODD_ORTHOGONAL):
+    if kind not in (ORDINARY, SYMPLECTIC):
         raise ValueError(f"unknown pattern kind {kind!r}")
-    if kind != ORDINARY and height % 2 != 0:
+    if kind == SYMPLECTIC and height % 2 != 0:
         raise ValueError(f"{kind} height must be even (2n rows)")
     cls = GTPattern if kind == ORDINARY else SpGTPattern
     if len(shape) > cls.row_length(height):
         raise ValueError(f"shape {shape!r} too long for height {height}")
     lengths = [cls.row_length(i) for i in range(1, height + 1)]
-    if kind == ODD_ORTHOGONAL:
-        # labelling the final dual step puts code 2n+1 = INF in place
-        out = [
-            Tableau(OOT, height // 2, _rows_from_chain(chain + [shape]))
-            for nu in _dual_subpartitions(shape)
-            for chain in _chains_to(nu, lengths)
-        ]
-    else:
-        out = [cls.from_chain(chain) for chain in _chains_to(shape, lengths)]
+    out = [cls.from_chain(chain) for chain in _chains_to(shape, lengths)]
     out.sort(key=lambda z: tuple(x for row in z.rows for x in row))
     yield from out

@@ -5,29 +5,6 @@ import pytest
 # the CLI's own random-input generators, imported by the tests from here
 from lppqs.cli import random_cover, random_filling, random_partition  # noqa: F401
 from lppqs.lpp import Geometry, lpp_time
-from lppqs.partitions import EMPTY, GTPattern, Partition, SpGTPattern
-
-
-def random_gt_pattern(rng, height, max_part=5):
-    """Random ordinary pattern built by a random upward chain."""
-    chain = [EMPTY]
-    for _ in range(height):
-        chain.append(random_cover(rng, chain[-1], slack=max_part))
-    chain.reverse()  # chain was grown upward; rows need smallest first
-    rows = [chain[height - i].pad(i) for i in range(1, height + 1)]
-    return GTPattern(rows)
-
-
-def random_spgt_pattern(rng, n, max_part=5):
-    """Random symplectic pattern of height 2n via a constrained chain."""
-    chain = [EMPTY]
-    for i in range(1, 2 * n + 1):
-        cap = (i + 1) // 2
-        nxt = random_cover(rng, chain[-1], slack=max_part)
-        while len(nxt) > cap:
-            nxt = Partition(nxt.parts[:cap])
-        chain.append(nxt)
-    return SpGTPattern.from_chain(chain)
 
 
 def random_bounded_filling(rng, kind="p2hlr", max_n=3, max_u=4):

@@ -19,7 +19,14 @@ from lppqs.characters import (
     symplectic_variables,
     unpack_exponents,
 )
-from lppqs.partitions import Partition, enumerate_patterns, gt_type
+from lppqs.partitions import (
+    Partition,
+    SpGTPattern,
+    _chains_to,
+    _dual_subpartitions,
+    enumerate_patterns,
+    gt_type,
+)
 
 x = LP.variable(0, 1)
 xinv = LP.variable(0, 1, -1)
@@ -99,8 +106,23 @@ def test_character_tab_examples():
 
 
 # --- the walk against the enumerate-then-sum oracle ---------------------------
-# The oracle lists every pattern (or odd orthogonal tableau) of the shape and
-# adds one monomial per pattern, the route the memoized walk replaced.
+# The oracle lists every pattern (or, for odd orthogonal, every symplectic
+# chain under a vertical strip) of the shape and adds one monomial each, the
+# route the memoized walk replaced.
+
+
+def odd_orthogonal_weights(lam, n):
+    """One exponent vector per chain empty < l(1) < ... < l(2n) = nu with
+    lam/nu a vertical strip: x_k weighs |l(2k-1)/l(2k-2)| - |l(2k)/l(2k-1)|,
+    and the cells of the final vertical strip weigh 1."""
+    lengths = [SpGTPattern.row_length(i) for i in range(1, 2 * n + 1)]
+    for nu in _dual_subpartitions(lam):
+        for chain in _chains_to(nu, lengths):
+            sizes = [mu.size() for mu in chain]
+            yield tuple(
+                (sizes[2 * k - 1] - sizes[2 * k - 2]) - (sizes[2 * k] - sizes[2 * k - 1])
+                for k in range(1, n + 1)
+            )
 
 
 def enumerated_character(family, lam, n):
@@ -112,10 +134,7 @@ def enumerated_character(family, lam, n):
             for ty in map(gt_type, enumerate_patterns("symplectic", 2 * n, lam))
         )
     else:
-        weights = (
-            tuple(t.symbol_count(2 * i - 1) - t.symbol_count(2 * i) for i in range(1, n + 1))
-            for t in enumerate_patterns("odd_orthogonal", 2 * n, lam)
-        )
+        weights = odd_orthogonal_weights(lam, n)
     return LP(n, collections.Counter(weights))
 
 
@@ -173,6 +192,9 @@ def test_det_equals_tab_small(family):
     shapes = [(n, lam) for n in (1, 2, 3) for lam in _box(3, 2) if len(lam) <= n]
     # 4x4 determinants
     shapes += [(4, Partition([1, 1, 1, 1])), (4, Partition([2, 1, 1, 1]))]
+    if family != "schur":
+        # the rectangles (v^n) of okada_product and the Stembridge instances
+        shapes += [(n, Partition([v] * n)) for n in (1, 2, 3) for v in (1, 2, 3)]
     for n, lam in shapes:
         jt = character_jt(family, lam, n).canonical_text()
         assert jt == character_tab(family, lam, n).canonical_text(), (n, lam)

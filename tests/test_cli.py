@@ -366,6 +366,39 @@ def test_rsk_bad_matrix_exit_two(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scope", "theorem", "--n", "1", "--u", "2"],
+    ["cdf", "--geometry", "p2l", "--n", "1", "--y", "1/2", "--u-max", "1"],
+    ["simulate", "--n", "1", "--y", "0.5", "--samples", "10"],
+    ["rsk", "--geometry", "p2l", "--input", "INPUT"],
+], ids=["verify", "cdf", "simulate", "rsk"])
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+    from lppqs.cli import main
+
+    f = tmp_path / "w.txt"
+    f.write_text("3\n")
+    argv = [str(f) if a == "INPUT" else a for a in argv]
+    target = tmp_path / "missing" / "out.txt"
+    assert main(argv + ["--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+
+def test_rsk_closes_its_input_file(tmp_path, capsys):
+    import warnings
+
+    from lppqs.cli import main
+
+    f = tmp_path / "w.txt"
+    f.write_text("3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["rsk", "--geometry", "p2l", "--input", str(f)]) == 0
+    assert capsys.readouterr().out == "6\n"
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_verify_json_byte_identical():
     args = ("verify", "--scope", "okada", "--n", "2", "--u", "3", "--format", "json")
     a = run_cli(*args)

@@ -1,18 +1,16 @@
 import pytest
 
-from conftest import random_gt_pattern, random_spgt_pattern
 from lppqs.characters import character_jt
 from lppqs.partitions import (
     EMPTY,
     GTPattern,
     Partition,
     SpGTPattern,
-    Tableau,
+    _chains_to,
+    _dual_subpartitions,
     enumerate_patterns,
     gt_type,
     interlaces,
-    pattern_to_tableau,
-    tableau_to_pattern,
 )
 
 
@@ -24,6 +22,9 @@ def test_partition_normalization_and_indexing():
     assert p[0] == 2 and p[1] == 1 and p[5] == 0
     assert Partition([]) == EMPTY
     assert not EMPTY
+    assert p == (2, 1, 0) and p == [2, 1]
+    assert Partition([1]) != (1, 2)  # not a partition: unequal, no error
+    assert Partition([1]) != (1, -1)
 
 
 def test_partition_rejects_bad_input():
@@ -66,54 +67,6 @@ def test_pattern_validation():
         SpGTPattern([[1], [2], [2, 0], [2, 1], [3, 1], [3, 2, 1]])
 
 
-def test_convert_small_example():
-    z = GTPattern([[1], [2, 1]])
-    t = pattern_to_tableau(z)
-    assert t.kind == "ssyt"
-    assert t.rows == ((1, 2), (2,))
-    assert tableau_to_pattern(t) == z
-
-
-def test_convert_empty():
-    z = GTPattern([[0], [0, 0], [0, 0, 0]])
-    t = pattern_to_tableau(z)
-    assert t.rows == ()
-    assert tableau_to_pattern(Tableau("ssyt", 3, [])) == z
-
-
-def test_convert_symplectic_counts_match_type():
-    z = SpGTPattern([[2], [2], [2, 1], [2, 1]])
-    t = pattern_to_tableau(z)
-    ty = gt_type(z)
-    for i in range(1, 3):
-        assert t.symbol_count(2 * i - 1) == ty[2 * i - 2]
-        assert t.symbol_count(2 * i) == ty[2 * i - 1]
-    assert tableau_to_pattern(t) == z
-
-
-def test_convert_round_trip_random(rng):
-    for _ in range(500):
-        z = random_gt_pattern(rng, rng.randint(1, 4))
-        assert tableau_to_pattern(pattern_to_tableau(z)) == z
-    for _ in range(500):
-        z = random_spgt_pattern(rng, rng.randint(1, 3))
-        assert tableau_to_pattern(pattern_to_tableau(z)) == z
-
-
-def test_from_tableau_rejects_bad_fillings():
-    with pytest.raises(ValueError):
-        Tableau("ssyt", 2, [[2, 1]])  # row decreases
-    with pytest.raises(ValueError):
-        Tableau("ssyt", 2, [[1, 1], [1]])  # column not strict
-    with pytest.raises(ValueError):
-        Tableau("spt", 1, [[1], [2]])  # row 2 entry below the cutoff
-    with pytest.raises(ValueError):
-        Tableau("oot", 1, [[3, 3]])  # two INF in one row
-    # INF may repeat down a column (vertical strip)
-    t = Tableau("oot", 2, [[5], [5]])
-    assert t.symbol_count(5) == 2
-
-
 def test_enumerate_single_row_forced():
     for k in (0, 1, 5):
         pats = list(enumerate_patterns("ordinary", 1, Partition([k] if k else [])))
@@ -133,6 +86,8 @@ def test_enumerate_rejects_long_shapes():
         list(enumerate_patterns("ordinary", 2, Partition([1, 1, 1])))
     with pytest.raises(ValueError):
         list(enumerate_patterns("symplectic", 2, Partition([1, 1])))
+    with pytest.raises(ValueError):
+        list(enumerate_patterns("odd_orthogonal", 2, Partition([1])))
 
 
 def test_enumerate_emits_sorted_streams():
@@ -175,11 +130,12 @@ def test_pattern_counts_match_principal_specialization():
 
 
 def test_oot_count_matches_determinant():
-    # the INF rule is fixed by the determinant side: vertical strips, so the
-    # stacked-INF tableau is counted
+    # so_lam counts the symplectic chains up to every nu with lam/nu a
+    # vertical strip, so a strip may stack several cells in one column
     for n in (1, 2):
+        lengths = [SpGTPattern.row_length(i) for i in range(1, 2 * n + 1)]
         for lam in _box_3x3():
             if len(lam) > n:
                 continue
-            count = len(list(enumerate_patterns("odd_orthogonal", 2 * n, lam)))
+            count = sum(1 for nu in _dual_subpartitions(lam) for _ in _chains_to(nu, lengths))
             assert count == character_jt("odd_orthogonal", lam, n).specialize([1] * n)
