@@ -31,6 +31,7 @@ from .lpp import (
     Filling,
     Geometry,
     bz_map,
+    degree_series,
     generating_series,
     lpp_time,
     oscillating_tableau,
@@ -79,6 +80,7 @@ __all__ = [
     "character_tab",
     "col_rsk_local",
     "complete_homogeneous",
+    "degree_series",
     "enumerate_patterns",
     "exact_cdf",
     "factorization_report",

@@ -217,35 +217,28 @@ def weight_of(filling: Filling) -> LaurentPolynomial:
     return LaurentPolynomial.monomial(exps, geo.n)
 
 
-def generating_series(
-    geometry: Geometry, bound: int, node_budget: int = 2_000_000
-) -> LaurentPolynomial:
-    """Sum of weight_of(W) over all fillings with lpp_time(W) <= bound.
+def _frontier_walk(
+    geo: Geometry, bound: int, steps: list[int], node_budget: int
+) -> dict[int, int]:
+    """Packed terms of the sum over fillings W with lpp_time(W) <= bound of
+    the monomial whose key is sum_s W[s] * steps[s], s in squares() order.
 
     The column frontier of lpp_time, walked over all fillings at once: a
-    state is the tuple of column values, carrying the series of the partial
+    state is the tuple of column values, carrying the terms of the partial
     fillings that reach it.  Weights stop where a column would pass the
     bound, which is exact because every square reaches a terminal square.
     A column is reset to 0 after the last square that reads it, so states
     that differ only in dead columns merge, and one state is left at the
-    end.  A node is one series term carried one square; raises
+    end.  A node is one term carried one square; raises
     EnumerationBudgetError past the node budget.
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    geo = geometry
     squares = geo.squares()
-    evecs = [geo.variable_exponent(i, j) for (i, j) in squares]
-    # every weight is at most the bound, so no exponent passes this
-    exponent_bound = bound * max(map(sum, zip(*evecs)))
-    check_exponent_range(exponent_bound)
     # last[c]: index of the last square that reads column c, in column c or c+1
     end = {i: k for k, (i, _j) in enumerate(squares)}
     last = [max(end.get(c, 0), end.get(c + 1, 0)) for c in range(geo.n + 1)]
     states = {(0,) * (geo.n + 1): {0: 1}}
     nodes = 0
-    for k, ((i, _j), evec) in enumerate(zip(squares, evecs)):
-        step = pack_exponents(evec)
+    for k, ((i, _j), step) in enumerate(zip(squares, steps)):
         spread: dict[tuple[int, ...], dict[int, int]] = {}
         while states:
             front, series = states.popitem()
@@ -265,7 +258,45 @@ def generating_series(
                     out[key] = out.get(key, 0) + count
         states = spread
     (terms,) = states.values()
-    return LaurentPolynomial.from_packed(geo.n, terms, exponent_bound)
+    return terms
+
+
+def generating_series(
+    geometry: Geometry, bound: int, node_budget: int = 2_000_000
+) -> LaurentPolynomial:
+    """Sum of weight_of(W) over all fillings with lpp_time(W) <= bound.
+
+    One walk of _frontier_walk, each square stepping by its packed exponent
+    vector.  Raises EnumerationBudgetError past the node budget.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    evecs = [geometry.variable_exponent(i, j) for (i, j) in geometry.squares()]
+    # every weight is at most the bound, so no exponent passes this
+    exponent_bound = bound * max(map(sum, zip(*evecs)))
+    check_exponent_range(exponent_bound)
+    terms = _frontier_walk(geometry, bound, list(map(pack_exponents, evecs)), node_budget)
+    return LaurentPolynomial.from_packed(geometry.n, terms, exponent_bound)
+
+
+def degree_series(
+    geometry: Geometry, bound: int, node_budget: int = 2_000_000
+) -> LaurentPolynomial:
+    """generating_series at x_1 = ... = x_n = t, as a polynomial in t.
+
+    Setting every variable to t is a ring homomorphism, so each square steps
+    by its total degree (1 on the reflecting diagonal, 2 elsewhere) and each
+    state of the walk carries at most one term per total degree.  A node is
+    one such term carried one square; raises EnumerationBudgetError past the
+    node budget.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    steps = [sum(geometry.variable_exponent(i, j)) for (i, j) in geometry.squares()]
+    # every weight is at most the bound, so no total degree passes this
+    check_exponent_range(bound * sum(steps))
+    terms = _frontier_walk(geometry, bound, steps, node_budget)
+    return LaurentPolynomial.from_packed(1, terms, max(terms))
 
 
 # --- the quarter-square bijection -------------------------------------------

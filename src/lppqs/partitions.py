@@ -56,8 +56,11 @@ class Partition:
     def __eq__(self, other) -> bool:
         if isinstance(other, Partition):
             return self.parts == other.parts
-        if isinstance(other, (tuple, list)):
-            # equal iff other is these parts followed by zeros
+        if isinstance(other, tuple):
+            # only the parts tuple itself, which has the same hash
+            return self.parts == other
+        if isinstance(other, list):
+            # lists are unhashable: equal iff these parts followed by zeros
             k = len(self.parts)
             return tuple(other[:k]) == self.parts and not any(other[k:])
         return NotImplemented
@@ -245,7 +248,8 @@ def enumerate_patterns(kind: str, height: int, shape: Partition) -> Iterator[Pat
 
     height counts rows: n for ordinary, 2n for symplectic.  The stream is
     sorted lexicographically on the row-major entry vector, so its order is
-    stable.
+    stable.  The arguments are checked when the function is called, not
+    when the stream is first read.
     """
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     if kind not in (ORDINARY, SYMPLECTIC):
@@ -258,4 +262,4 @@ def enumerate_patterns(kind: str, height: int, shape: Partition) -> Iterator[Pat
     lengths = [cls.row_length(i) for i in range(1, height + 1)]
     out = [cls.from_chain(chain) for chain in _chains_to(shape, lengths)]
     out.sort(key=lambda z: tuple(x for row in z.rows for x in row))
-    yield from out
+    return iter(out)

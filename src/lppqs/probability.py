@@ -4,8 +4,9 @@ Weights are independent geometric random variables, Prob(X = k) = (1-p) p^k,
 with p the product of the square's row and column parameters at x_i = y:
 p = y^2 off the reflecting diagonal and p = y on it (q := y^2).
 
-Exact CDFs multiply the bounded generating series, specialized at y, by the
-total normalization prod_squares (1 - p); everything stays rational.
+Exact CDFs multiply the bounded degree series (the generating series with
+every x_i set to one variable t), evaluated at t = y, by the total
+normalization prod_squares (1 - p); everything stays rational.
 Sampling is vectorized and fully deterministic: the stream of square s of a
 geometry is Philox keyed by (seed, geometry_code * 2^48 + s), and weights
 come from the closed-form inverse CDF floor(log U / log p) with a guard at
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lpp import KINDS, Geometry, generating_series
+from .lpp import KINDS, Geometry, degree_series
 
 _GEOMETRY_CODE = {kind: idx + 1 for idx, kind in enumerate(KINDS)}
 _MASK64 = (1 << 64) - 1
@@ -82,12 +83,15 @@ def normalization_constant(geometry: Geometry, y: Fraction) -> Fraction:
 def exact_cdf(
     geometry: Geometry, bound: int, y: Fraction, node_budget: int = 2_000_000
 ) -> Fraction:
-    """Prob(L <= bound) as an exact rational."""
+    """Prob(L <= bound) as an exact rational.
+
+    The bounded degree series at t = y, times the normalization: p depends
+    on a square's total degree only, so the law needs no more of the series.
+    """
     y = Fraction(y)
     if not 0 < y < 1:
         raise ValueError("y must lie strictly between 0 and 1")
-    series = generating_series(geometry, bound, node_budget=node_budget)
-    value = series.specialize([y] * geometry.n)
+    value = degree_series(geometry, bound, node_budget=node_budget).specialize([y])
     return normalization_constant(geometry, y) * value
 
 

@@ -1,10 +1,19 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 # the CLI's own random-input generators, imported by the tests from here
 from lppqs.cli import random_cover, random_filling, random_partition  # noqa: F401
 from lppqs.lpp import Geometry, lpp_time
+
+# pytest puts src on sys.path (pyproject.toml); the tests that run
+# `python -m lppqs` or a demo in a subprocess need it on PYTHONPATH too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")])
+)
 
 
 def random_bounded_filling(rng, kind="p2hlr", max_n=3, max_u=4):

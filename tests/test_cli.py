@@ -105,6 +105,24 @@ def test_cdf_past_the_recursion_limit(capsys):
     assert capsys.readouterr() == (f"P(L <= 0) = {z}\n", "")
 
 
+@pytest.mark.parametrize("args,digest", [
+    (("--geometry", "p2hlr", "--n", "3", "--y", "7/10", "--u-max", "6", "--format", "json"),
+     "a136d39963f33b2c80c05b16aa655dc4"),
+    (("--geometry", "p2l", "--n", "5", "--y", "7/10", "--u-max", "4", "--format", "json"),
+     "32eb9cd2ff7d73296c7338d7754404d3"),
+    (("--geometry", "p2pr", "--n", "4", "--y", "7/10", "--u-max", "6", "--format", "json"),
+     "f3a111cf0f6c004b97d68f53249ac58a"),
+    (("--geometry", "p2l", "--n", "5", "--y", "1/2", "--u-max", "4", "--format", "csv"),
+     "033e3660d7c801b8ff21afd20c0bf53b"),
+], ids=["p2hlr-json", "p2l-json", "p2pr-json", "p2l-csv"])
+def test_cdf_bytes_are_pinned(capsys, args, digest):
+    # md5 of stdout as first recorded, when cdf specialized the n-variable series
+    from lppqs.cli import main
+
+    assert main(["cdf", *args]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_rsk_p2l_forward_golden(tmp_path):
     f = tmp_path / "w.txt"
     f.write_text("3\n")

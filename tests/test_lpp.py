@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from lppqs.characters import (
     box_partitions,
     character_jt,
     product_of_variables,
+    unpack_exponents,
 )
 from lppqs.growth import grow_grid
 from lppqs.lpp import (
@@ -21,6 +23,7 @@ from lppqs.lpp import (
     Filling,
     Geometry,
     bz_map,
+    degree_series,
     generating_series,
     lpp_time,
     oscillating_tableau,
@@ -28,6 +31,7 @@ from lppqs.lpp import (
     weight_of,
 )
 from lppqs.partitions import GTPattern, Partition, SpGTPattern, gt_type, interlaces
+from lppqs.probability import exact_cdf, normalization_constant
 
 x = LP.variable(0, 1)
 
@@ -151,6 +155,42 @@ def test_generating_series_checks_the_exponent_range_first():
     # range; the check comes before any node is spent
     with pytest.raises(OverflowError):
         generating_series(Geometry("p2l", 1), 2**30, node_budget=1)
+
+
+# every size where the n-variable series is cheap enough to collapse
+SERIES_ORACLE_CASES = [
+    (kind, n, bound) for kind in KINDS for n in (1, 2, 3) for bound in range(5)
+] + [("p2l", 4, bound) for bound in range(5)]
+
+
+@pytest.mark.parametrize("kind,n,bound", SERIES_ORACLE_CASES)
+def test_degree_series_collapses_generating_series(kind, n, bound):
+    geo = Geometry(kind, n)
+    series = generating_series(geo, bound)
+    by_degree = {}
+    for key, coef in series.terms.items():
+        degree = sum(unpack_exponents(key, n))
+        by_degree[degree] = by_degree.get(degree, 0) + coef
+    collapsed = degree_series(geo, bound)
+    assert collapsed.nvars == 1
+    assert collapsed.terms == by_degree
+    for y in (Fraction(1, 2), Fraction(7, 10)):
+        expected = normalization_constant(geo, y) * series.specialize([y] * n)
+        assert exact_cdf(geo, bound, y) == expected
+
+
+def test_degree_series_rejects_bad_bounds():
+    with pytest.raises(ValueError):
+        degree_series(Geometry("p2pr", 2), -1)
+    with pytest.raises(EnumerationBudgetError):
+        degree_series(Geometry("p2hlr", 3), 4, node_budget=50)
+
+
+def test_degree_series_checks_the_exponent_range_first():
+    # weight 2^30 on the single p2l square gives t^(2^31), past the packed
+    # range; the check comes before any node is spent
+    with pytest.raises(OverflowError):
+        degree_series(Geometry("p2l", 1), 2**30, node_budget=1)
 
 
 def test_bz_zero_filling_gives_constant_pattern():

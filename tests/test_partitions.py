@@ -22,7 +22,11 @@ def test_partition_normalization_and_indexing():
     assert p[0] == 2 and p[1] == 1 and p[5] == 0
     assert Partition([]) == EMPTY
     assert not EMPTY
-    assert p == (2, 1, 0) and p == [2, 1]
+    assert p == (2, 1) and p == [2, 1] and p == [2, 1, 0]
+    # a tuple is equal only to the parts tuple, which shares the hash
+    assert p != (2, 1, 0)
+    assert {p} & {(2, 1, 0)} == set() and {p} & {(2, 1)} == {p}
+    assert {(2, 1): "a"}[p] == "a" and (2, 1, 0) not in {p: "b"}
     assert Partition([1]) != (1, 2)  # not a partition: unequal, no error
     assert Partition([1]) != (1, -1)
 
@@ -88,6 +92,13 @@ def test_enumerate_rejects_long_shapes():
         list(enumerate_patterns("symplectic", 2, Partition([1, 1])))
     with pytest.raises(ValueError):
         list(enumerate_patterns("odd_orthogonal", 2, Partition([1])))
+    # checked at call time, before the stream is read
+    with pytest.raises(ValueError):
+        enumerate_patterns("odd_orthogonal", 2, Partition([1]))
+    with pytest.raises(ValueError):
+        enumerate_patterns("symplectic", 3, Partition([1]))
+    with pytest.raises(ValueError):
+        enumerate_patterns("ordinary", 2, Partition([1, 1, 1]))
 
 
 def test_enumerate_emits_sorted_streams():
