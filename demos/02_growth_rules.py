@@ -33,8 +33,7 @@ print()
 w = [[1, 2], [0, 3]]
 print("Matrix (first index east, second north):", w)
 for rule in ("row", "col"):
-    grid = grow_grid(w, rule)
-    print(f"{rule} rule corner shape: {grid.corner()}")
+    print(f"{rule} rule corner shape: {grow_grid(w, rule)[2, 2]}")
 print("longest up-right path  (row rule, k=1):", greene_oracle(w, 1, "up_right"))
 print("longest down-right path (col rule, k=1):", greene_oracle(w, 1, "down_right"))
 
@@ -42,8 +41,8 @@ print()
 print("Random 5x5 check of all partial sums against the path oracle:")
 rng = random.Random(0)
 mat = [[rng.randint(0, 4) for _ in range(5)] for _ in range(5)]
-lam = grow_grid(mat, "row").corner()
-mu = grow_grid(mat, "col").corner()
+lam = grow_grid(mat, "row")[5, 5]
+mu = grow_grid(mat, "col")[5, 5]
 for k in range(1, 6):
     up = greene_oracle(mat, k, "up_right")
     down = greene_oracle(mat, k, "down_right")

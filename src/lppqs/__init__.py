@@ -17,7 +17,6 @@ from .characters import (
     product_of_variables,
 )
 from .growth import (
-    GrowthGrid,
     col_rsk_local,
     greene_oracle,
     grow,
@@ -67,7 +66,6 @@ __all__ = [
     "GTPattern",
     "Geometry",
     "GeometricSpec",
-    "GrowthGrid",
     "LaurentPolynomial",
     "Partition",
     "ScalingConstants",

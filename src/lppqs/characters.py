@@ -410,11 +410,12 @@ def character_jt(family: str, lam, n: int) -> LaurentPolynomial:
     """Character by determinant of complete homogeneous functions.
 
     schur:          det[ h_{l_i - i + j}(x) ]
-    symplectic:     (1/2) det[ h_{l_i - i + j}(x, 1/x) + h_{l_i - i - j + 2}(x, 1/x) ]
+    symplectic:     det[ h_{l_i - i + j}(x, 1/x) + h_{l_i - i - j + 2}(x, 1/x) ],
+                    but h_{l_i - i + 1}(x, 1/x) alone in column j = 1
     odd_orthogonal: det[ h_{l_i - i + j}(x, 1/x, 1) - h_{l_i - i - j}(x, 1/x, 1) ]
 
-    The symplectic determinant is provably even; halving is checked and an
-    odd coefficient raises ArithmeticError.
+    with i, j counted from 1.  The symplectic form is Koike and Terada's
+    (J. Algebra 107, 1987), which needs no halving.
     """
     lam = _as_partition(lam)
     ell = len(lam)
@@ -423,9 +424,7 @@ def character_jt(family: str, lam, n: int) -> LaurentPolynomial:
     if ell == 0:
         if family not in (SCHUR, SYMPLECTIC, ODD_ORTHOGONAL):
             raise ValueError(f"unknown character family {family!r}")
-        # empty determinant; the symplectic halving comes from the doubled
-        # first column, which is absent here
-        return LaurentPolynomial.one(n)
+        return LaurentPolynomial.one(n)  # the empty determinant
     if family == SCHUR:
         mono = ordinary_variables(n)
         h = _h_table(mono, n, lam[0] + ell)
@@ -435,19 +434,11 @@ def character_jt(family: str, lam, n: int) -> LaurentPolynomial:
         mono = symplectic_variables(n)
         h = _h_table(mono, n, lam[0] + ell + 1)
         mat = [
-            [h(lam[i] - i + j) + h(lam[i] - i - j) for j in range(ell)]
+            [h(lam[i] - i + j) + h(lam[i] - i - j) if j else h(lam[i] - i)
+             for j in range(ell)]
             for i in range(ell)
         ]
-        det = determinant(mat, n)
-        half = {}
-        for key, coef in det.terms.items():
-            if coef % 2:
-                raise ArithmeticError(
-                    "symplectic determinant has odd coefficient at "
-                    f"{unpack_exponents(key, n)}"
-                )
-            half[key] = coef // 2
-        return LaurentPolynomial.from_packed(n, half, det.exponent_bound)
+        return determinant(mat, n)
     if family == ODD_ORTHOGONAL:
         mono = odd_orthogonal_variables(n)
         h = _h_table(mono, n, lam[0] + ell)

@@ -1,8 +1,10 @@
 """Command-line front end: identity verification, bijection demos, CDFs, simulation.
 
 Exit codes: 0 success, 1 mathematical failure (an identity or round trip
-does not hold), 2 usage or budget errors.  Configuration precedence is
-flags > LPPQS_* environment variables > built-in defaults.
+does not hold), 2 usage or budget errors.  A subcommand reports a usage
+error by raising ValueError, which main prints as "error: ..." with exit 2.
+Configuration precedence is flags > LPPQS_* environment variables >
+built-in defaults.
 
 All exact numbers print as rational strings ("15/16"); decimals appear only
 in Monte Carlo statistics.  JSON and CSV output is byte-stable for a fixed
@@ -101,8 +103,8 @@ def _greene_suite(trials: int, max_dim: int, seed: int) -> dict:
         m = rng.randint(1, max_dim)
         n = rng.randint(1, max_dim)
         mat = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m)]
-        lam = grow_grid(mat, "row").corner()
-        mu = grow_grid(mat, "col").corner()
+        lam = grow_grid(mat, "row")[m, n]
+        mu = grow_grid(mat, "col")[m, n]
         for k in range(1, min(m, n) + 1):
             if sum(lam[i] for i in range(k)) != greene_oracle(mat, k, "up_right"):
                 failures += 1
@@ -191,25 +193,20 @@ INSTANCE_SUITES = {
 def cmd_verify(args) -> int:
     scopes = SCOPES if args.scope == "all" else (args.scope,)
     if args.scope not in (*INSTANCE_SUITES, "all") and (args.n, args.u) != (None, None):
-        print(f"error: --scope {args.scope} takes no --n or --u", file=sys.stderr)
-        return 2
+        raise ValueError(f"--scope {args.scope} takes no --n or --u")
     for flag, value, readers in (("--max-dim", args.max_dim, ("greene",)),
                                  ("--seed", args.seed, ("greene", "roundtrips")),
                                  ("--node-budget", args.node_budget, ("theorem",))):
         if value is not None and args.scope not in (*readers, "all"):
-            print(f"error: --scope {args.scope} takes no {flag}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--scope {args.scope} takes no {flag}")
     if (args.n is None) != (args.u is None):
-        print("error: give --n and --u together", file=sys.stderr)
-        return 2
+        raise ValueError("give --n and --u together")
     for flag, value, least in (("--n", args.n, 1), ("--u", args.u, 0),
                                ("--trials", args.trials, 1), ("--max-dim", args.max_dim, 1)):
         if value is not None and value < least:
-            print(f"error: {flag} must be at least {least}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{flag} must be at least {least}")
     if args.scope in ("theorem", "stembridge", "all") and args.u is not None and args.u % 2:
-        print(f"error: --scope {args.scope} needs an even --u", file=sys.stderr)
-        return 2
+        raise ValueError(f"--scope {args.scope} needs an even --u")
     seed = _int_default(args.seed, "LPPQS_SEED", 0)
     node_budget = _int_default(args.node_budget, "LPPQS_NODE_BUDGET", 2_000_000)
     results = []
@@ -283,15 +280,11 @@ def _partition_to_text(p: Partition) -> str:
 def cmd_rsk(args) -> int:
     matrix = args.geometry in ("matrix-row", "matrix-col")
     if matrix and (args.direction is not None or args.roundtrip):
-        print(f"error: --direction and --roundtrip do not apply to {args.geometry}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--direction and --roundtrip do not apply to {args.geometry}")
     if args.geometry != "p2hlr" and args.u is not None:
-        print(f"error: --u applies to p2hlr only, not {args.geometry}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--u applies to p2hlr only, not {args.geometry}")
     if args.geometry == "p2hlr" and (args.u is None or args.u < 0):
-        print("error: p2hlr needs a bound --u of at least 0", file=sys.stderr)
-        return 2
+        raise ValueError("p2hlr needs a bound --u of at least 0")
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -299,8 +292,7 @@ def cmd_rsk(args) -> int:
             with open(args.input) as fh:
                 text = fh.read()
     except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read input: {exc}") from None
 
     forward = args.direction != "inverse"
     try:
@@ -315,16 +307,17 @@ def cmd_rsk(args) -> int:
         else:
             obj = _pattern_from_text(text, half=args.geometry == "p2hlr")
     except ValueError as exc:
-        print(f"error: cannot parse input: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot parse input: {exc}") from None
 
     try:
         if matrix:
             rule = "row" if args.geometry.endswith("row") else "col"
-            grid = grow_grid(obj, rule)
-            lines = [f"corner: {_partition_to_text(grid.corner())}"]
-            lines.append("north: " + " | ".join(_partition_to_text(p) for p in grid.north_chain()))
-            lines.append("east: " + " | ".join(_partition_to_text(p) for p in grid.east_chain()))
+            pts = grow_grid(obj, rule)
+            m, n = len(obj), len(obj[0])
+            north = [_partition_to_text(pts[i, n]) for i in range(m + 1)]
+            east = [_partition_to_text(pts[m, j]) for j in range(n + 1)]
+            lines = [f"corner: {_partition_to_text(pts[m, n])}",
+                     "north: " + " | ".join(north), "east: " + " | ".join(east)]
             _emit("\n".join(lines), args.output)
             return 0
         if args.geometry == "p2hlr":
@@ -352,14 +345,11 @@ def cmd_cdf(args) -> int:
     try:
         y = Fraction(args.y)
     except (ValueError, ZeroDivisionError):
-        print(f"error: cannot parse --y {args.y!r} as a rational", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot parse --y {args.y!r} as a rational") from None
     if not 0 < y < 1:
-        print("error: --y must lie strictly between 0 and 1", file=sys.stderr)
-        return 2
+        raise ValueError("--y must lie strictly between 0 and 1")
     if args.u_max < 0:
-        print("error: --u-max must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("--u-max must be non-negative")
     node_budget = _int_default(args.node_budget, "LPPQS_NODE_BUDGET", 2_000_000)
     geo = Geometry(args.geometry, args.n)
     rows = []
@@ -384,13 +374,11 @@ def cmd_cdf(args) -> int:
 
 def cmd_simulate(args) -> int:
     if (args.q is None) == (args.y is None):
-        print("error: give exactly one of --q or --y", file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of --q or --y")
     # test the given parameter before the square root: a negative q has a
     # complex root, which does not compare with 0 and 1
     if not 0 < (args.q if args.y is None else args.y) < 1:
-        print("error: parameter must lie strictly between 0 and 1", file=sys.stderr)
-        return 2
+        raise ValueError("parameter must lie strictly between 0 and 1")
     y = args.y if args.y is not None else args.q ** 0.5
     seed = _int_default(args.seed, "LPPQS_SEED", 0)
 

@@ -176,40 +176,6 @@ def ungrow(squares, boundary, rule: str, reflect: bool = False) -> list[int]:
     return weights
 
 
-class GrowthGrid:
-    """Partitions on the lattice points of an m-by-n rectangle.
-
-    entry(i, j) is the partition at lattice point (i, j), 0 <= i <= m,
-    0 <= j <= n, with the empty partition on both axes.
-    """
-
-    __slots__ = ("dims", "rule", "points")
-
-    def __init__(self, dims: tuple[int, int], rule: str, points):
-        self.dims = dims
-        self.rule = rule
-        self.points = points
-
-    def entry(self, i: int, j: int) -> Partition:
-        return self.points[i, j]
-
-    def corner(self) -> Partition:
-        return self.points[self.dims]
-
-    def north_chain(self) -> list[Partition]:
-        """Partitions along the north edge, (0, n) to (m, n)."""
-        m, n = self.dims
-        return [self.points[i, n] for i in range(m + 1)]
-
-    def east_chain(self) -> list[Partition]:
-        """Partitions along the east edge, (m, 0) to (m, n)."""
-        m, n = self.dims
-        return [self.points[m, j] for j in range(n + 1)]
-
-    def __repr__(self) -> str:
-        return f"GrowthGrid(dims={self.dims}, rule={self.rule!r})"
-
-
 def check_weight_matrix(weights: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Shape (m, n) of a non-empty rectangular non-negative matrix; raises
     ValueError otherwise."""
@@ -229,11 +195,13 @@ def rectangle(m: int, n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
 
 
-def grow_grid(weights: Sequence[Sequence[int]], rule: str) -> GrowthGrid:
-    """Grow the full rectangle of a weight matrix with the chosen rule."""
+def grow_grid(weights: Sequence[Sequence[int]], rule: str) -> dict:
+    """Grow the full rectangle of an m-by-n weight matrix with the chosen
+    rule: the partition at every lattice point (i, j), 0 <= i <= m,
+    0 <= j <= n, empty on both axes, with the corner shape at (m, n)."""
     m, n = check_weight_matrix(weights)
     flat = [w for row in weights for w in row]
-    return GrowthGrid((m, n), rule, grow(rectangle(m, n), flat, rule))
+    return grow(rectangle(m, n), flat, rule)
 
 
 # --- brute-force non-intersecting path oracle --------------------------------

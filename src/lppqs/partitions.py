@@ -71,10 +71,6 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
 
-    def contains(self, other: "Partition") -> bool:
-        """True iff ``other`` fits inside this diagram row by row."""
-        return all(other[i] <= self[i] for i in range(len(other)))
-
     def pad(self, length: int) -> tuple[int, ...]:
         """Parts padded with zeros to the given length."""
         if length < len(self.parts):
@@ -88,16 +84,10 @@ class Partition:
 EMPTY = Partition()
 
 
-def interlaces(mu: Partition, lam: Partition, dual: bool = False) -> bool:
-    """Whether ``mu`` interlaces upwards with ``lam``.
-
-    Plain interlacing (mu < lam): lam_i >= mu_i >= lam_{i+1} for all i.
-    Dual interlacing: mu inside lam with lam_i - mu_i in {0, 1} for all i
-    (the skew diagram lam/mu is a vertical strip).
-    """
+def interlaces(mu: Partition, lam: Partition) -> bool:
+    """Whether ``mu`` interlaces upwards with ``lam`` (mu < lam):
+    lam_i >= mu_i >= lam_{i+1} for all i."""
     top = max(len(mu), len(lam))
-    if dual:
-        return all(lam[i] - mu[i] in (0, 1) for i in range(top))
     return all(lam[i] >= mu[i] >= lam[i + 1] for i in range(top))
 
 

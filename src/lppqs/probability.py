@@ -23,6 +23,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -72,12 +73,12 @@ def scaling_constants(q: float) -> ScalingConstants:
 
 
 def normalization_constant(geometry: Geometry, y: Fraction) -> Fraction:
-    """Product of (1 - p) over all squares; p = y or y^2 per square."""
-    total = Fraction(1)
-    for (i, j) in geometry.squares():
-        power = sum(geometry.variable_exponent(i, j))
-        total *= 1 - Fraction(y) ** power
-    return total
+    """Product of (1 - p) over all squares; p = y^d for a square of degree
+    d (1 or 2), so it is one power of (1 - y^d) per degree."""
+    degrees = Counter(sum(geometry.variable_exponent(i, j)) for i, j in geometry.squares())
+    return math.prod(
+        ((1 - Fraction(y) ** d) ** count for d, count in degrees.items()), start=Fraction(1)
+    )
 
 
 def exact_cdf(

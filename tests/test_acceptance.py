@@ -130,8 +130,8 @@ def test_criterion_4_greene_equivalence():
     for _ in range(200):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         mat = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m)]
-        lam = grow_grid(mat, "row").corner()
-        mu = grow_grid(mat, "col").corner()
+        lam = grow_grid(mat, "row")[m, n]
+        mu = grow_grid(mat, "col")[m, n]
         for k in range(1, min(m, n) + 1):
             ok = ok and sum(lam[i] for i in range(k)) == greene_oracle(mat, k, "up_right")
             ok = ok and sum(mu[i] for i in range(k)) == greene_oracle(mat, k, "down_right")

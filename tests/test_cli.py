@@ -575,7 +575,96 @@ def test_exit_codes_on_drawn_arguments(tmp_path):
     check()
 
 
-@pytest.mark.parametrize("demo", ["01_patterns_and_characters.py", "02_growth_rules.py",
+# Every usage error the subcommands detect themselves: argv (INPUT, BAD,
+# EMPTY, MATRIX and MISSING name files made by the test) and the exact stderr.
+USAGE_ERRORS = {
+    "verify-greene-n-u": (["verify", "--scope", "greene", "--n", "1", "--u", "2"],
+                          "--scope greene takes no --n or --u"),
+    "verify-roundtrips-u": (["verify", "--scope", "roundtrips", "--u", "2"],
+                            "--scope roundtrips takes no --n or --u"),
+    "verify-okada-max-dim": (["verify", "--scope", "okada", "--max-dim", "3"],
+                             "--scope okada takes no --max-dim"),
+    "verify-theorem-seed": (["verify", "--scope", "theorem", "--seed", "3"],
+                            "--scope theorem takes no --seed"),
+    "verify-greene-node-budget": (["verify", "--scope", "greene", "--node-budget", "3"],
+                                  "--scope greene takes no --node-budget"),
+    "verify-lone-n": (["verify", "--scope", "okada", "--n", "1"],
+                      "give --n and --u together"),
+    "verify-lone-u": (["verify", "--scope", "okada", "--u", "1"],
+                      "give --n and --u together"),
+    "verify-n-zero": (["verify", "--scope", "okada", "--n", "0", "--u", "1"],
+                      "--n must be at least 1"),
+    "verify-u-negative": (["verify", "--scope", "okada", "--n", "1", "--u", "-1"],
+                          "--u must be at least 0"),
+    "verify-trials-zero": (["verify", "--scope", "greene", "--trials", "0"],
+                           "--trials must be at least 1"),
+    "verify-max-dim-zero": (["verify", "--scope", "greene", "--max-dim", "0"],
+                            "--max-dim must be at least 1"),
+    "verify-theorem-odd-u": (["verify", "--scope", "theorem", "--n", "1", "--u", "3"],
+                             "--scope theorem needs an even --u"),
+    "verify-stembridge-odd-u": (["verify", "--scope", "stembridge", "--n", "1", "--u", "3"],
+                                "--scope stembridge needs an even --u"),
+    "verify-all-odd-u": (["verify", "--scope", "all", "--n", "1", "--u", "3"],
+                         "--scope all needs an even --u"),
+    "rsk-matrix-roundtrip": (["rsk", "--geometry", "matrix-row", "--roundtrip",
+                              "--input", "MATRIX"],
+                             "--direction and --roundtrip do not apply to matrix-row"),
+    "rsk-matrix-direction": (["rsk", "--geometry", "matrix-col", "--direction", "forward",
+                              "--input", "MATRIX"],
+                             "--direction and --roundtrip do not apply to matrix-col"),
+    "rsk-p2l-u": (["rsk", "--geometry", "p2l", "--u", "2", "--input", "INPUT"],
+                  "--u applies to p2hlr only, not p2l"),
+    "rsk-p2hlr-no-u": (["rsk", "--geometry", "p2hlr", "--input", "INPUT"],
+                       "p2hlr needs a bound --u of at least 0"),
+    "rsk-p2hlr-negative-u": (["rsk", "--geometry", "p2hlr", "--u", "-1", "--input", "INPUT"],
+                             "p2hlr needs a bound --u of at least 0"),
+    "rsk-unreadable": (["rsk", "--geometry", "p2l", "--input", "MISSING"],
+                       "cannot read input: [Errno 2] No such file or directory: 'MISSING'"),
+    "rsk-bad-filling": (["rsk", "--geometry", "p2l", "--input", "BAD"],
+                        "cannot parse input: line 1: expected 1 cells"),
+    "rsk-bad-matrix": (["rsk", "--geometry", "matrix-row", "--input", "BAD"],
+                       "cannot parse input: invalid literal for int() with base 10: 'x'"),
+    "rsk-empty-pattern": (["rsk", "--geometry", "p2l", "--direction", "inverse",
+                           "--input", "EMPTY"],
+                          "cannot parse input: empty pattern file"),
+    "rsk-empty-matrix": (["rsk", "--geometry", "matrix-col", "--input", "EMPTY"],
+                         "cannot parse input: matrix must be at least 1x1"),
+    "cdf-y-unparsable": (["cdf", "--geometry", "p2l", "--n", "1", "--y", "x", "--u-max", "1"],
+                         "cannot parse --y 'x' as a rational"),
+    "cdf-y-zero-denominator": (["cdf", "--geometry", "p2l", "--n", "1", "--y", "1/0",
+                                "--u-max", "1"],
+                               "cannot parse --y '1/0' as a rational"),
+    "cdf-y-out-of-range": (["cdf", "--geometry", "p2l", "--n", "1", "--y", "3/2",
+                            "--u-max", "1"],
+                           "--y must lie strictly between 0 and 1"),
+    "cdf-u-max-negative": (["cdf", "--geometry", "p2l", "--n", "1", "--y", "1/2",
+                            "--u-max", "-1"],
+                           "--u-max must be non-negative"),
+    "simulate-q-and-y": (["simulate", "--n", "1", "--q", "0.5", "--y", "0.5"],
+                         "give exactly one of --q or --y"),
+    "simulate-neither": (["simulate", "--n", "1"], "give exactly one of --q or --y"),
+    "simulate-q-negative": (["simulate", "--n", "1", "--q", "-0.1"],
+                            "parameter must lie strictly between 0 and 1"),
+    "simulate-y-above-one": (["simulate", "--n", "1", "--y", "1.5"],
+                             "parameter must lie strictly between 0 and 1"),
+}
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_messages_are_pinned(argv, message, tmp_path, capsys):
+    from lppqs.cli import main
+
+    files = {"INPUT": "3\n", "BAD": "1 x\n", "EMPTY": "\n", "MATRIX": "1 2\n0 3\n"}
+    names = {"MISSING": str(tmp_path / "missing.txt")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        names[name] = str(tmp_path / name)
+    argv = [names.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message.replace('MISSING', names['MISSING'])}\n")
+
+
+@pytest.mark.parametrize("demo",["01_patterns_and_characters.py", "02_growth_rules.py",
                                   "03_bijections.py", "04_product_identity.py"])
 def test_demo_runs(demo):
     path = Path(__file__).resolve().parent.parent / "demos" / demo

@@ -67,13 +67,13 @@ def test_grow_grid_zero_matrix():
     grid = grow_grid([[0, 0, 0], [0, 0, 0]], "row")
     for i in range(3):
         for j in range(4):
-            assert grid.entry(i, j) == EMPTY
+            assert grid[i, j] == EMPTY
 
 
 def test_grow_grid_corners():
     w = [[1, 2], [0, 3]]
-    assert grow_grid(w, "row").corner() == P([6])
-    assert grow_grid(w, "col").corner() == P([5, 1])
+    assert grow_grid(w, "row")[2, 2] == P([6])
+    assert grow_grid(w, "col")[2, 2] == P([5, 1])
 
 
 def test_grow_grid_rejects_negative():
@@ -87,13 +87,13 @@ def test_boundary_chains_interlace_and_track_margins(rng):
         mat = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m)]
         for rule in ("row", "col"):
             grid = grow_grid(mat, rule)
-            north = grid.north_chain()
-            east = grid.east_chain()
+            north = [grid[i, n] for i in range(m + 1)]
+            east = [grid[m, j] for j in range(n + 1)]
             for lo, hi in zip(north, north[1:]):
                 assert interlaces(lo, hi)
             for lo, hi in zip(east, east[1:]):
                 assert interlaces(lo, hi)
-            # row k sum = |entry(m, k)| - |entry(m, k-1)|, col k likewise
+            # row k sum = |grid[m, k]| - |grid[m, k-1]|, col k likewise
             for k in range(1, n + 1):
                 row_sum = sum(mat[i][k - 1] for i in range(m))
                 assert row_sum == east[k].size() - east[k - 1].size()
@@ -110,10 +110,10 @@ def test_cell_conservation_everywhere(rng):
             grid = grow_grid(mat, rule)
             for i in range(1, m + 1):
                 for j in range(1, n + 1):
-                    lhs = grid.entry(i - 1, j - 1).size() + grid.entry(i, j).size()
+                    lhs = grid[i - 1, j - 1].size() + grid[i, j].size()
                     rhs = (
-                        grid.entry(i - 1, j).size()
-                        + grid.entry(i, j - 1).size()
+                        grid[i - 1, j].size()
+                        + grid[i, j - 1].size()
                         + mat[i - 1][j - 1]
                     )
                     assert lhs == rhs
@@ -173,8 +173,8 @@ def test_growth_matches_oracle(rng):
     for _ in range(60):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         mat = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m)]
-        lam = grow_grid(mat, "row").corner()
-        mu = grow_grid(mat, "col").corner()
+        lam = grow_grid(mat, "row")[m, n]
+        mu = grow_grid(mat, "col")[m, n]
         for k in range(1, min(m, n) + 1):
             assert sum(lam[i] for i in range(k)) == greene_oracle(mat, k, "up_right")
             assert sum(mu[i] for i in range(k)) == greene_oracle(mat, k, "down_right")

@@ -290,8 +290,9 @@ def test_p2l_map_matches_full_square_growth(rng):
             a, b = i, n + 1 - j
             mat[a - 1][b - 1] = mat[b - 1][a - 1] = 2 * w if a == b else w
         grid = grow_grid(mat, "col")
-        assert grid.north_chain() == grid.east_chain()
-        assert GTPattern.from_chain(grid.north_chain()) == p2l_map(f, "forward")
+        north = [grid[i, n] for i in range(n + 1)]
+        assert north == [grid[n, j] for j in range(n + 1)]
+        assert GTPattern.from_chain(north) == p2l_map(f, "forward")
 
 
 @pytest.mark.parametrize("n,u", [(1, 2), (1, 4), (2, 2)])

@@ -39,19 +39,17 @@ def test_partition_rejects_bad_input():
 
 
 @pytest.mark.parametrize(
-    "mu, lam, dual, expected",
+    "mu, lam, expected",
     [
-        ((), (), False, True),
-        ((1,), (2, 1), False, True),
-        ((1,), (3, 2), False, False),
-        ((1, 1), (2, 1), True, True),
-        ((0,), (2,), True, False),
-        ((2, 1), (2, 1), False, True),
-        ((3,), (2,), False, False),
+        ((), (), True),
+        ((1,), (2, 1), True),
+        ((1,), (3, 2), False),
+        ((2, 1), (2, 1), True),
+        ((3,), (2,), False),
     ],
 )
-def test_interlaces_cases(mu, lam, dual, expected):
-    assert interlaces(Partition(mu), Partition(lam), dual=dual) is expected
+def test_interlaces_cases(mu, lam, expected):
+    assert interlaces(Partition(mu), Partition(lam)) is expected
 
 
 def test_gt_type_examples():

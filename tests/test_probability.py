@@ -61,6 +61,17 @@ def test_exact_cdf_quarter_square_value():
     assert norm == (1 - HALF) * (1 - HALF**2)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_normalization_constant_is_the_product_over_squares(kind):
+    for n in range(1, 8):
+        geo = Geometry(kind, n)
+        for y in (HALF, Fraction(7, 10), THIRD):
+            per_square = Fraction(1)
+            for i, j in geo.squares():
+                per_square *= 1 - y ** sum(geo.variable_exponent(i, j))
+            assert normalization_constant(geo, y) == per_square
+
+
 def test_exact_cdf_monotone_and_saturating():
     prev = Fraction(0)
     for u in range(0, 11):
