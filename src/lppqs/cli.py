@@ -14,11 +14,13 @@ seed (timings are shown in text mode only).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from .characters import (
@@ -341,6 +343,14 @@ def cmd_rsk(args) -> int:
 # --- probability drivers --------------------------------------------------------
 
 
+def _rational(p: Fraction) -> str:
+    """str(p) at any length.  str refuses an int of more than
+    sys.get_int_max_str_digits() digits; the digits of Decimal(int) are
+    exact and have no such limit."""
+    num = str(Decimal(p.numerator))
+    return num if p.denominator == 1 else f"{num}/{Decimal(p.denominator)}"
+
+
 def cmd_cdf(args) -> int:
     try:
         y = Fraction(args.y)
@@ -359,15 +369,15 @@ def cmd_cdf(args) -> int:
         out = {
             "geometry": args.geometry,
             "n": args.n,
-            "y": str(y),
-            "cdf": [[u, str(p)] for u, p in rows],
+            "y": _rational(y),
+            "cdf": [[u, _rational(p)] for u, p in rows],
         }
         _emit(json.dumps(out, sort_keys=True), args.output)
     elif args.format == "csv":
-        lines = ["bound,prob"] + [f"{u},{p}" for u, p in rows]
+        lines = ["bound,prob"] + [f"{u},{_rational(p)}" for u, p in rows]
         _emit("\n".join(lines), args.output)
     else:
-        lines = [f"P(L <= {u}) = {p}" for u, p in rows]
+        lines = [f"P(L <= {u}) = {_rational(p)}" for u, p in rows]
         _emit("\n".join(lines), args.output)
     return 0
 
@@ -447,7 +457,10 @@ def _format_name(text: str) -> str:
     return text
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _parser() -> tuple[argparse.ArgumentParser, list]:
+    """The parser, built once per process, and the (action, variable,
+    fallback) of each option whose default comes from the environment."""
     parser = argparse.ArgumentParser(
         prog="lppqs",
         description="Exact identities and simulation for planar last passage percolation.",
@@ -460,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--u", type=int, default=None)
     verify.add_argument("--trials", type=int, default=None)
     verify.add_argument("--max-dim", type=int, default=None)
-    verify.set_defaults(func=cmd_verify)
 
     rsk = sub.add_parser("rsk", help="apply a growth bijection to a filling file")
     rsk.add_argument(
@@ -474,14 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     rsk.add_argument("--input", required=True, help="filling/pattern file, '-' = stdin")
     rsk.add_argument("--roundtrip", action="store_true",
                      help="apply forward then inverse and exit 0 iff identical")
-    rsk.set_defaults(func=cmd_rsk)
 
     cdf = sub.add_parser("cdf", help="exact distribution table of the passage time")
     cdf.add_argument("--geometry", required=True, choices=["p2hlr", "p2pr", "p2l"])
     cdf.add_argument("--n", type=int, required=True)
     cdf.add_argument("--y", required=True, help="rational like 1/2 (all x_i = y)")
     cdf.add_argument("--u-max", type=int, required=True)
-    cdf.set_defaults(func=cmd_cdf)
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo for the passage time")
     simulate.add_argument("--geometry", choices=["p2hlr", "p2pr", "p2l"], default="p2hlr")
@@ -492,19 +502,21 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--samples", type=int, default=10000)
     simulate.add_argument("--factorization", action="store_true",
                           help="compare the three empirical laws instead of one run")
-    simulate.set_defaults(func=cmd_simulate)
 
-    # LPPQS_OUTPUT and LPPQS_FORMAT are passed as the raw environment
-    # strings: argparse applies an option's type to a string default, so a
-    # bad value is a usage error (exit 2) like a bad flag.  The integer
-    # defaults are read by _int_default instead.
+    # main sets the defaults of --output and --format from LPPQS_OUTPUT and
+    # LPPQS_FORMAT on every call, as the raw environment strings: argparse
+    # applies an option's type to a string default, so a bad value is a
+    # usage error (exit 2) like a bad flag.  The integer defaults are read
+    # by _int_default instead.
+    env_defaults = []
     for p in (verify, rsk, cdf, simulate):
-        p.add_argument("--output", default=os.environ.get("LPPQS_OUTPUT"),
-                       help="output file, '-' = stdout (env LPPQS_OUTPUT)")
+        action = p.add_argument("--output",
+                                help="output file, '-' = stdout (env LPPQS_OUTPUT)")
+        env_defaults.append((action, "LPPQS_OUTPUT", None))
     for p in (verify, cdf, simulate):
-        p.add_argument("--format", type=_format_name, metavar="{text,json,csv}",
-                       default=os.environ.get("LPPQS_FORMAT", "text"),
-                       help="output format (env LPPQS_FORMAT)")
+        action = p.add_argument("--format", type=_format_name, metavar="{text,json,csv}",
+                                help="output format (env LPPQS_FORMAT)")
+        env_defaults.append((action, "LPPQS_FORMAT", "text"))
     for p in (verify, simulate):
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (env LPPQS_SEED)")
@@ -512,14 +524,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-budget", type=int, default=None,
                        help="generating-series node budget (env LPPQS_NODE_BUDGET)")
 
-    return parser
+    return parser, env_defaults
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, env_defaults = _parser()
+    for action, var, fallback in env_defaults:
+        action.default = os.environ.get(var, fallback)
     args = parser.parse_args(argv)
+    # looked up on every call, not bound into the parser that outlives it, so
+    # a module attribute replaced later (a test's monkeypatch, a tracer's
+    # wrapper) is the one that runs
+    command = {"verify": cmd_verify, "rsk": cmd_rsk, "cdf": cmd_cdf,
+               "simulate": cmd_simulate}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (EnumerationBudgetError, MemoryError, OverflowError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

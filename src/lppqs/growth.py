@@ -14,21 +14,51 @@ Up-right paths step east or north; down-right paths step east or south.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ge
 from typing import Sequence
 
-from .partitions import EMPTY, Partition, interlaces
+from .partitions import EMPTY, Partition
 
 ROW = "row"
 COL = "col"
 
 
+def _envelopes(alpha: Partition, beta: Partition) -> tuple[list[int], list[int]]:
+    """max(alpha_s, beta_s) and min(alpha_s, beta_s) for s < ell, where
+    ell = min(len(alpha), len(beta)) + 1: the parts padded with zeros once."""
+    a, b = alpha.parts, beta.parts
+    ell = min(len(a), len(b)) + 1
+    a += (0,) * (ell - len(a))
+    b += (0,) * (ell - len(b))
+    return list(map(max, a, b)), list(map(min, a, b))
+
+
+def _below_both(kappa: Partition, alpha: Partition, beta: Partition, hi, lo) -> bool:
+    """interlaces(kappa, alpha) and interlaces(kappa, beta), given the
+    envelopes of alpha and beta: both tests in one pass, since
+    alpha_s, beta_s >= kappa_s >= alpha_{s+1}, beta_{s+1} is
+    min_s >= kappa_s >= max_{s+1}."""
+    k = kappa.parts
+    n = len(k)
+    return (
+        n <= len(alpha.parts) <= n + 1
+        and n <= len(beta.parts) <= n + 1
+        and all(map(ge, lo, k))
+        and all(map(ge, k, hi[1:]))
+    )
+
+
 def _check_local_input(alpha: Partition, beta: Partition, kappa: Partition, g: int):
+    """The envelopes of alpha and beta, and kappa padded to ell - 1 parts;
+    raises ValueError unless g >= 0 and kappa interlaces below both."""
     if g < 0:
         raise ValueError("g must be non-negative")
-    if not interlaces(kappa, alpha) or not interlaces(kappa, beta):
+    hi, lo = _envelopes(alpha, beta)
+    if not _below_both(kappa, alpha, beta, hi, lo):
         raise ValueError(
             f"kappa must interlace below alpha and beta: {kappa!r}, {alpha!r}, {beta!r}"
         )
+    return hi, lo, kappa.parts + (0,) * (len(hi) - 1 - len(kappa.parts))
 
 
 def row_rsk_local(alpha: Partition, beta: Partition, kappa: Partition, g: int) -> Partition:
@@ -37,12 +67,8 @@ def row_rsk_local(alpha: Partition, beta: Partition, kappa: Partition, g: int) -
     nu_1 = max(alpha_1, beta_1) + g and, for s >= 2,
     nu_s = max(alpha_s, beta_s) + min(alpha_{s-1}, beta_{s-1}) - kappa_{s-1}.
     """
-    _check_local_input(alpha, beta, kappa, g)
-    ell = min(len(alpha), len(beta)) + 1
-    nu = [max(alpha[0], beta[0]) + g]
-    for s in range(1, ell):
-        nu.append(max(alpha[s], beta[s]) + min(alpha[s - 1], beta[s - 1]) - kappa[s - 1])
-    return Partition(nu)
+    hi, lo, k = _check_local_input(alpha, beta, kappa, g)
+    return Partition([hi[0] + g, *[h + m - c for h, m, c in zip(hi[1:], lo, k)]])
 
 
 def col_rsk_local(alpha: Partition, beta: Partition, kappa: Partition, g: int) -> Partition:
@@ -52,23 +78,14 @@ def col_rsk_local(alpha: Partition, beta: Partition, kappa: Partition, g: int) -
     nu_s = min(max(alpha_s, beta_s) + g_s, kappa_{s-1}), where kappa_0 acts
     as +infinity, so nu_1 = max(alpha_1, beta_1) + g_1.
     """
-    _check_local_input(alpha, beta, kappa, g)
-    ell = min(len(alpha), len(beta)) + 1
-    nu = [0] * ell
+    hi, lo, k = _check_local_input(alpha, beta, kappa, g)
+    nu = hi[:]
     gs = g
-    for s in range(ell, 0, -1):
-        grown = max(alpha[s - 1], beta[s - 1]) + gs
-        if s == 1:
-            nu[0] = grown
-        else:
-            cap = kappa[s - 2]
-            nu[s - 1] = min(grown, cap)
-            gs = (
-                gs
-                - min(gs, cap - max(alpha[s - 1], beta[s - 1]))
-                + min(alpha[s - 2], beta[s - 2])
-                - cap
-            )
+    for s in range(len(hi) - 1, 0, -1):
+        h, cap = hi[s], k[s - 1]
+        nu[s] = min(h + gs, cap)
+        gs = gs - min(gs, cap - h) + lo[s - 1] - cap
+    nu[0] += gs
     return Partition(nu)
 
 
@@ -80,24 +97,31 @@ def invert_local(
     Rejects nu that does not interlace above alpha and beta, and inputs
     whose reconstruction is inconsistent (negative g or invalid kappa).
     """
-    if not interlaces(alpha, nu) or not interlaces(beta, nu):
+    v = nu.parts
+    m = len(v)
+    hi, lo = _envelopes(alpha, beta)
+    # interlaces(alpha, nu) and interlaces(beta, nu) in one pass:
+    # nu_s >= max(alpha_s, beta_s) and min(alpha_s, beta_s) >= nu_{s+1}
+    if not (
+        m - 1 <= len(alpha.parts) <= m
+        and m - 1 <= len(beta.parts) <= m
+        and all(map(ge, v, hi))
+        and all(map(ge, lo, v[1:]))
+    ):
         raise ValueError(
             f"nu must interlace above alpha and beta: {nu!r}, {alpha!r}, {beta!r}"
         )
-    ell = min(len(alpha), len(beta)) + 1
+    v += (0,) * (len(hi) - m)
     if rule == ROW:
-        g = nu[0] - max(alpha[0], beta[0])
-        kappa_parts = [
-            max(alpha[s], beta[s]) + min(alpha[s - 1], beta[s - 1]) - nu[s]
-            for s in range(1, ell)
-        ]
+        g = v[0] - hi[0]
+        kappa_parts = [h + c - x for h, c, x in zip(hi[1:], lo, v[1:])]
     elif rule == COL:
-        gs = nu[0] - max(alpha[0], beta[0])
+        gs = v[0] - hi[0]
         kappa_parts = []
-        for s in range(1, ell):
-            k = max(min(alpha[s - 1], beta[s - 1]) - gs, nu[s])
+        for s in range(1, len(hi)):
+            k = max(lo[s - 1] - gs, v[s])
             kappa_parts.append(k)
-            gs = nu[s] + gs - max(alpha[s], beta[s]) - min(alpha[s - 1], beta[s - 1]) + k
+            gs += v[s] - hi[s] - lo[s - 1] + k
         g = gs
     else:
         raise ValueError(f"unknown rule {rule!r}")
@@ -107,7 +131,7 @@ def invert_local(
         kappa = Partition(kappa_parts)
     except ValueError as exc:
         raise ValueError(f"inconsistent input: {exc}") from exc
-    if not interlaces(kappa, alpha) or not interlaces(kappa, beta):
+    if not _below_both(kappa, alpha, beta, hi, lo):
         raise ValueError("inconsistent input: kappa does not interlace")
     return kappa, g
 

@@ -60,13 +60,13 @@ class Geometry:
     def squares(self) -> list[tuple[int, int]]:
         """All squares, sorted row-major (j ascending, then i)."""
         n = self.n
-        out = []
-        jmax = 2 * n if self.kind == P2HLR else n
-        for j in range(1, jmax + 1):
-            for i in range(1, n + 1):
-                if self.contains(i, j):
-                    out.append((i, j))
-        return out
+        if self.kind == P2HLR:
+            return [
+                (i, j) for j in range(1, 2 * n + 1) for i in range(1, min(j, 2 * n + 1 - j) + 1)
+            ]
+        if self.kind == P2PR:
+            return [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
+        return [(i, j) for j in range(1, n + 1) for i in range(1, n + 2 - j)]
 
     def is_diagonal(self, i: int, j: int) -> bool:
         """Reflecting-boundary square (only p2hlr/p2pr have one)."""

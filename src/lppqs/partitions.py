@@ -15,6 +15,7 @@ Everything here is an immutable value; all functions are pure.
 from __future__ import annotations
 
 import itertools
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 
@@ -27,10 +28,10 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(x) for x in parts)
+        ps = tuple(map(int, parts))
         while ps and ps[-1] == 0:
             ps = ps[:-1]
-        if any(a < b for a, b in zip(ps, ps[1:])):
+        if not all(map(ge, ps, ps[1:])):
             raise ValueError(f"parts must be weakly decreasing: {ps}")
         if ps and ps[-1] < 0:
             raise ValueError(f"parts must be non-negative: {ps}")
@@ -86,9 +87,16 @@ EMPTY = Partition()
 
 def interlaces(mu: Partition, lam: Partition) -> bool:
     """Whether ``mu`` interlaces upwards with ``lam`` (mu < lam):
-    lam_i >= mu_i >= lam_{i+1} for all i."""
-    top = max(len(mu), len(lam))
-    return all(lam[i] >= mu[i] >= lam[i + 1] for i in range(top))
+    lam_i >= mu_i >= lam_{i+1} for all i.
+
+    Parts are positive, so past the length test only the pairs inside both
+    parts tuples need comparing."""
+    m, la = mu.parts, lam.parts
+    return (
+        len(m) <= len(la) <= len(m) + 1
+        and all(map(ge, la, m))
+        and all(map(ge, m, la[1:]))
+    )
 
 
 def _chain_from_rows(rows: Sequence[Sequence[int]]) -> list[Partition]:

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .lpp import KINDS, Geometry, degree_series
 
 _GEOMETRY_CODE = {kind: idx + 1 for idx, kind in enumerate(KINDS)}
@@ -101,9 +99,9 @@ def exact_cdf(
 
 # Samples are drawn in chunks of _CHUNK, a multiple of the four doubles one
 # Philox block yields: chunk [a, b) of square s reads the square's stream from
-# block a // 4, so it draws exactly positions a..b-1 of that stream.
+# block a // 4, so it draws exactly positions a..b-1 of that stream.  numpy is
+# imported by the sampling functions alone, so the exact layers never load it.
 _CHUNK = 1 << 14
-_TINY = np.finfo(np.float64).tiny
 
 
 def _cpu_count() -> int:
@@ -129,6 +127,9 @@ def _sample_chunks(
     cast once per square into the int64 weights.  The frontier stays int64:
     its sums pass 2^53 when y is close to 1, where float64 would round.
     """
+    import numpy as np
+
+    tiny = np.finfo(np.float64).tiny  # guards log(0) at U = 0
     size = min(_CHUNK, len(out))
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
@@ -148,7 +149,7 @@ def _sample_chunks(
             key[1] = stream
             bitgen.state = state
             gen.random(out=draw)
-            np.maximum(draw, _TINY, out=draw)
+            np.maximum(draw, tiny, out=draw)
             np.log(draw, out=draw)
             np.divide(draw, log_p, out=draw)
             np.floor(draw, out=draw)
@@ -168,6 +169,8 @@ def sample_passage_times(spec: GeometricSpec, n_samples: int) -> np.ndarray:
     (the calling thread is one of them); each writes its own slices of the
     result, so the values do not depend on the number of workers.
     """
+    import numpy as np
+
     if n_samples < 1:
         raise ValueError("need at least one sample")
     geo = spec.geometry
@@ -206,6 +209,8 @@ def sample_passage_times(spec: GeometricSpec, n_samples: int) -> np.ndarray:
 
 
 def _moments(data: np.ndarray) -> tuple[float, float, float]:
+    import numpy as np
+
     mean = float(np.mean(data))
     centered = data - mean
     var = float(np.mean(centered**2))
@@ -263,6 +268,8 @@ class SimulationReport:
 
 def sample_lpp(spec: GeometricSpec, n_samples: int) -> SimulationReport:
     """Seeded Monte Carlo run; identical spec and n_samples reproduce bytes."""
+    import numpy as np
+
     t0 = time.perf_counter()
     times = sample_passage_times(spec, n_samples)
     q = float(spec.q)

@@ -459,6 +459,165 @@ def test_invalid_format_environment_default_is_a_usage_error():
     assert "invalid choice: 'xml'" in res.stderr
 
 
+CDF_ARGV = ["cdf", "--geometry", "p2pr", "--n", "1", "--y", "1/2", "--u-max", "1"]
+
+
+def test_each_main_call_reads_its_own_environment(monkeypatch, capsys, tmp_path):
+    # the parser is built once per process; the env defaults are not
+    from lppqs.cli import main
+
+    monkeypatch.delenv("LPPQS_OUTPUT", raising=False)
+    monkeypatch.setenv("LPPQS_FORMAT", "csv")
+    assert main(CDF_ARGV) == 0
+    assert capsys.readouterr() == ("bound,prob\n0,1/2\n1,3/4\n", "")
+    out = tmp_path / "cdf.json"
+    monkeypatch.setenv("LPPQS_FORMAT", "json")
+    monkeypatch.setenv("LPPQS_OUTPUT", str(out))
+    assert main(CDF_ARGV) == 0
+    assert capsys.readouterr() == ("", "")
+    assert json.loads(out.read_text())["cdf"] == [[0, "1/2"], [1, "3/4"]]
+    monkeypatch.delenv("LPPQS_FORMAT")
+    monkeypatch.delenv("LPPQS_OUTPUT")
+    assert main(CDF_ARGV) == 0
+    assert capsys.readouterr() == ("P(L <= 0) = 1/2\nP(L <= 1) = 3/4\n", "")
+
+
+def test_an_argparse_error_leaves_the_next_call_alone(monkeypatch, capsys):
+    from lppqs.cli import main
+
+    monkeypatch.delenv("LPPQS_OUTPUT", raising=False)
+    monkeypatch.setenv("LPPQS_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        main(CDF_ARGV)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(
+        "lppqs cdf: error: argument --format: invalid choice: 'xml' "
+        "(choose from text, json, csv)\n"
+    )
+    monkeypatch.setenv("LPPQS_FORMAT", "csv")
+    with pytest.raises(SystemExit) as exc:
+        main([*CDF_ARGV, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(CDF_ARGV) == 0
+    assert capsys.readouterr() == ("bound,prob\n0,1/2\n1,3/4\n", "")
+    assert main([*CDF_ARGV, "--format", "text"]) == 0
+    assert capsys.readouterr() == ("P(L <= 0) = 1/2\nP(L <= 1) = 3/4\n", "")
+
+
+def test_main_runs_the_command_the_module_holds_now(monkeypatch, capsys):
+    import lppqs.cli
+
+    assert lppqs.cli.main(CDF_ARGV) == 0  # the parser exists from here on
+    capsys.readouterr()
+    monkeypatch.setattr(lppqs.cli, "cmd_cdf", lambda args: 7)
+    assert lppqs.cli.main(CDF_ARGV) == 7
+
+
+HELP = {
+    "": """usage: lppqs [-h] {verify,rsk,cdf,simulate} ...
+
+Exact identities and simulation for planar last passage percolation.
+
+positional arguments:
+  {verify,rsk,cdf,simulate}
+    verify              run exact identity and round-trip suites
+    rsk                 apply a growth bijection to a filling file
+    cdf                 exact distribution table of the passage time
+    simulate            seeded Monte Carlo for the passage time
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "cdf": """usage: lppqs cdf [-h] --geometry {p2hlr,p2pr,p2l} --n N --y Y --u-max U_MAX
+                 [--output OUTPUT] [--format {text,json,csv}]
+                 [--node-budget NODE_BUDGET]
+
+options:
+  -h, --help            show this help message and exit
+  --geometry {p2hlr,p2pr,p2l}
+  --n N
+  --y Y                 rational like 1/2 (all x_i = y)
+  --u-max U_MAX
+  --output OUTPUT       output file, '-' = stdout (env LPPQS_OUTPUT)
+  --format {text,json,csv}
+                        output format (env LPPQS_FORMAT)
+  --node-budget NODE_BUDGET
+                        generating-series node budget (env LPPQS_NODE_BUDGET)
+""",
+}
+
+
+@pytest.mark.parametrize("command", ["", "cdf"])
+def test_help_is_pinned(command, monkeypatch, capsys):
+    # as printed at 80 columns under Python 3.11, whatever the env defaults
+    from lppqs.cli import main
+
+    monkeypatch.setenv("COLUMNS", "80")
+    for fmt, output in (("json", "x.out"), ("text", None)):
+        monkeypatch.setenv("LPPQS_FORMAT", fmt)
+        if output:
+            monkeypatch.setenv("LPPQS_OUTPUT", output)
+        else:
+            monkeypatch.delenv("LPPQS_OUTPUT", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (HELP[command], "")
+
+
+def test_exact_layers_never_load_numpy(tmp_path):
+    script = (
+        "import sys\n"
+        "import lppqs.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "from lppqs.cli import main\n"
+        f"for argv in ({CDF_ARGV!r}, ['verify', '--scope', 'okada', '--n', '1', '--u', '1'],\n"
+        f"             ['rsk', '--geometry', 'p2l', '--input', {str(tmp_path / 'w.txt')!r}]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    (tmp_path / "w.txt").write_text("3\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("geometry,n", [("p2hlr", 100), ("p2pr", 120)])
+def test_cdf_prints_exact_values_past_the_int_digit_limit(geometry, n, capsys):
+    # str() refuses ints of more than 4300 digits; these values have more
+    from lppqs.cli import main
+    from lppqs.lpp import Geometry
+    from lppqs.probability import exact_cdf
+
+    z = exact_cdf(Geometry(geometry, n), 0, Fraction(1, 2))
+    assert z.denominator > 10 ** 4300
+    argv = ["cdf", "--geometry", geometry, "--n", str(n), "--y", "1/2", "--u-max", "0"]
+    for fmt in ("text", "json", "csv"):
+        assert main([*argv, "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if fmt == "text":
+            text = out.removeprefix("P(L <= 0) = ")
+        elif fmt == "json":
+            text = json.loads(out)["cdf"][0][1]
+        else:
+            text = out.splitlines()[1].removeprefix("0,")
+        num, den = text.strip().split("/")
+        assert Fraction(_int_of(num), _int_of(den)) == z
+
+
+def _int_of(digits: str) -> int:
+    """int(digits) for any number of digits, read in blocks under the limit."""
+    value = 0
+    for k in range(0, len(digits), 1000):
+        block = digits[k:k + 1000]
+        value = value * 10 ** len(block) + int(block)
+    return value
+
+
 def test_verify_bad_sizes_are_usage_errors():
     for args in (
         ("--scope", "okada", "--n", "1"),

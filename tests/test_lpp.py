@@ -41,6 +41,11 @@ def test_square_counts(n):
     assert len(Geometry("p2hlr", n).squares()) == n * n + n
     assert len(Geometry("p2pr", n).squares()) == n * (n + 1) // 2
     assert len(Geometry("p2l", n).squares()) == n * (n + 1) // 2
+    # each row's squares straight from the domain's bounds, as contains reads them
+    for kind in ("p2hlr", "p2pr", "p2l"):
+        geo = Geometry(kind, n)
+        grid = [(i, j) for j in range(1, 2 * n + 2) for i in range(1, 2 * n + 2)]
+        assert geo.squares() == [sq for sq in grid if geo.contains(*sq)]
 
 
 def test_geometry_validation():
