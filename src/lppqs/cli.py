@@ -31,6 +31,8 @@ from .characters import (
 )
 from .growth import apply_local, check_weight_matrix, greene_oracle, grow_grid, invert_local
 from .lpp import (
+    KINDS,
+    NODE_BUDGET,
     EnumerationBudgetError,
     Filling,
     Geometry,
@@ -210,7 +212,7 @@ def cmd_verify(args) -> int:
     if args.scope in ("theorem", "stembridge", "all") and args.u is not None and args.u % 2:
         raise ValueError(f"--scope {args.scope} needs an even --u")
     seed = _int_default(args.seed, "LPPQS_SEED", 0)
-    node_budget = _int_default(args.node_budget, "LPPQS_NODE_BUDGET", 2_000_000)
+    node_budget = _int_default(args.node_budget, "LPPQS_NODE_BUDGET", NODE_BUDGET)
     results = []
     seconds = []  # wall clock per result, shown in text output only
     show_polys = args.n is not None
@@ -264,17 +266,6 @@ def cmd_verify(args) -> int:
 # --- bijection driver ----------------------------------------------------------
 
 
-def _pattern_to_text(z) -> str:
-    return "\n".join(" ".join(str(e) for e in row) for row in z.rows) + "\n"
-
-
-def _pattern_from_text(text: str, half: bool):
-    rows = [[int(tok) for tok in line.split()] for line in text.strip().splitlines()]
-    if not rows:
-        raise ValueError("empty pattern file")
-    return SpGTPattern(rows) if half else GTPattern(rows)
-
-
 def _partition_to_text(p: Partition) -> str:
     return " ".join(str(x) for x in p.parts) if p else "-"
 
@@ -299,15 +290,12 @@ def cmd_rsk(args) -> int:
     forward = args.direction != "inverse"
     try:
         if matrix:
-            obj = [
-                [int(tok) for tok in line.split()]
-                for line in text.strip().splitlines()
-            ]
+            obj = [[int(tok) for tok in line.split()] for line in text.strip().splitlines()]
             check_weight_matrix(obj)
         elif forward:
             obj = Filling.from_text(args.geometry, text)
         else:
-            obj = _pattern_from_text(text, half=args.geometry == "p2hlr")
+            obj = (SpGTPattern if args.geometry == "p2hlr" else GTPattern).from_text(text)
     except ValueError as exc:
         raise ValueError(f"cannot parse input: {exc}") from None
 
@@ -322,18 +310,14 @@ def cmd_rsk(args) -> int:
                      "north: " + " | ".join(north), "east: " + " | ".join(east)]
             _emit("\n".join(lines), args.output)
             return 0
-        if args.geometry == "p2hlr":
-            image = bz_map(obj, args.u, "forward" if forward else "inverse")
-            if args.roundtrip:
-                back = bz_map(image, args.u, "inverse" if forward else "forward")
-                return 0 if back == obj else 1
-        else:
-            image = p2l_map(obj, "forward" if forward else "inverse")
-            if args.roundtrip:
-                back = p2l_map(image, "inverse" if forward else "forward")
-                return 0 if back == obj else 1
-        out = image.to_text() if isinstance(image, Filling) else _pattern_to_text(image)
-        _emit(out.rstrip("\n"), args.output)
+        # the maps are looked up on every call, so a module attribute replaced
+        # later (a test's monkeypatch, a tracer's wrapper) is the one that runs
+        bijection = functools.partial(bz_map, u=args.u) if args.geometry == "p2hlr" else p2l_map
+        image = bijection(obj, direction="forward" if forward else "inverse")
+        if args.roundtrip:
+            back = bijection(image, direction="inverse" if forward else "forward")
+            return 0 if back == obj else 1
+        _emit(image.to_text().rstrip("\n"), args.output)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -360,7 +344,7 @@ def cmd_cdf(args) -> int:
         raise ValueError("--y must lie strictly between 0 and 1")
     if args.u_max < 0:
         raise ValueError("--u-max must be non-negative")
-    node_budget = _int_default(args.node_budget, "LPPQS_NODE_BUDGET", 2_000_000)
+    node_budget = _int_default(args.node_budget, "LPPQS_NODE_BUDGET", NODE_BUDGET)
     geo = Geometry(args.geometry, args.n)
     rows = []
     for u in range(0, args.u_max + 1):
@@ -393,6 +377,8 @@ def cmd_simulate(args) -> int:
     seed = _int_default(args.seed, "LPPQS_SEED", 0)
 
     if args.factorization:
+        if args.geometry is not None:
+            raise ValueError("--factorization takes no --geometry")
         rep = factorization_report(
             args.n, y, "monte_carlo", n_samples=args.samples, seed=seed
         )
@@ -403,7 +389,7 @@ def cmd_simulate(args) -> int:
             _emit(json.dumps(rep, sort_keys=True), args.output)
         return 0
 
-    spec = GeometricSpec(y, Geometry(args.geometry, args.n), seed)
+    spec = GeometricSpec(y, Geometry(args.geometry or "p2hlr", args.n), seed)
     report = sample_lpp(spec, args.samples)
     if args.format == "csv":
         _emit(report.to_csv().rstrip("\n"), args.output)
@@ -488,13 +474,13 @@ def _parser() -> tuple[argparse.ArgumentParser, list]:
                      help="apply forward then inverse and exit 0 iff identical")
 
     cdf = sub.add_parser("cdf", help="exact distribution table of the passage time")
-    cdf.add_argument("--geometry", required=True, choices=["p2hlr", "p2pr", "p2l"])
+    cdf.add_argument("--geometry", required=True, choices=KINDS)
     cdf.add_argument("--n", type=int, required=True)
     cdf.add_argument("--y", required=True, help="rational like 1/2 (all x_i = y)")
     cdf.add_argument("--u-max", type=int, required=True)
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo for the passage time")
-    simulate.add_argument("--geometry", choices=["p2hlr", "p2pr", "p2l"], default="p2hlr")
+    simulate.add_argument("--geometry", choices=KINDS)
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--q", type=float, default=None,
                           help="geometric parameter (y = sqrt(q))")

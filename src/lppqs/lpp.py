@@ -28,6 +28,7 @@ P2HLR = "p2hlr"
 P2PR = "p2pr"
 P2L = "p2l"
 KINDS = (P2HLR, P2PR, P2L)
+NODE_BUDGET = 2_000_000  # default node budget of a generating-series walk
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -68,9 +69,10 @@ class Geometry:
             return [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
         return [(i, j) for j in range(1, n + 1) for i in range(1, n + 2 - j)]
 
-    def is_diagonal(self, i: int, j: int) -> bool:
-        """Reflecting-boundary square (only p2hlr/p2pr have one)."""
-        return self.kind in (P2HLR, P2PR) and i == j
+    def degree(self, i: int, j: int) -> int:
+        """1 on the reflecting diagonal of p2hlr/p2pr, else 2: the square's total
+        degree; its weight parameter at every x_i = y is y^degree."""
+        return 1 if i == j and self.kind != P2L else 2
 
     def terminal_squares(self) -> list[tuple[int, int]]:
         n = self.n
@@ -93,7 +95,7 @@ class Geometry:
         """Exponent vector contributed by one unit of weight in square (i, j)."""
         exps = [0] * self.n
         exps[i - 1] += 1
-        if not self.is_diagonal(i, j):
+        if self.degree(i, j) == 2:
             exps[self.row_variable(j)] += 1
         return tuple(exps)
 
@@ -262,7 +264,7 @@ def _frontier_walk(
 
 
 def generating_series(
-    geometry: Geometry, bound: int, node_budget: int = 2_000_000
+    geometry: Geometry, bound: int, node_budget: int = NODE_BUDGET
 ) -> LaurentPolynomial:
     """Sum of weight_of(W) over all fillings with lpp_time(W) <= bound.
 
@@ -280,19 +282,18 @@ def generating_series(
 
 
 def degree_series(
-    geometry: Geometry, bound: int, node_budget: int = 2_000_000
+    geometry: Geometry, bound: int, node_budget: int = NODE_BUDGET
 ) -> LaurentPolynomial:
     """generating_series at x_1 = ... = x_n = t, as a polynomial in t.
 
     Setting every variable to t is a ring homomorphism, so each square steps
-    by its total degree (1 on the reflecting diagonal, 2 elsewhere) and each
-    state of the walk carries at most one term per total degree.  A node is
-    one such term carried one square; raises EnumerationBudgetError past the
-    node budget.
+    by its Geometry.degree and each state of the walk carries at most one
+    term per total degree.  A node is one such term carried one square;
+    raises EnumerationBudgetError past the node budget.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    steps = [sum(geometry.variable_exponent(i, j)) for (i, j) in geometry.squares()]
+    steps = [geometry.degree(i, j) for (i, j) in geometry.squares()]
     # every weight is at most the bound, so no total degree passes this
     check_exponent_range(bound * sum(steps))
     terms = _frontier_walk(geometry, bound, steps, node_budget)

@@ -150,6 +150,17 @@ class Pattern:
             raise ValueError("chain must start with the empty partition")
         return cls([lam.pad(cls.row_length(i)) for i, lam in enumerate(chain) if i > 0])
 
+    # plain text: one line per row, row 1 first, entries separated by spaces
+    def to_text(self) -> str:
+        return "\n".join(" ".join(map(str, row)) for row in self.rows) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str):
+        rows = [[int(tok) for tok in line.split()] for line in text.strip().splitlines()]
+        if not rows:
+            raise ValueError("empty pattern file")
+        return cls(rows)
+
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.rows == other.rows
 

@@ -2,7 +2,8 @@
 
 Weights are independent geometric random variables, Prob(X = k) = (1-p) p^k,
 with p the product of the square's row and column parameters at x_i = y:
-p = y^2 off the reflecting diagonal and p = y on it (q := y^2).
+p = y^d for the square's Geometry.degree d, so p = y^2 off the reflecting
+diagonal and p = y on it (q := y^2).
 
 Exact CDFs multiply the bounded degree series (the generating series with
 every x_i set to one variable t), evaluated at t = y, by the total
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .lpp import KINDS, Geometry, degree_series
+from .lpp import KINDS, NODE_BUDGET, Geometry, degree_series
 
 _GEOMETRY_CODE = {kind: idx + 1 for idx, kind in enumerate(KINDS)}
 _MASK64 = (1 << 64) - 1
@@ -73,14 +74,14 @@ def scaling_constants(q: float) -> ScalingConstants:
 def normalization_constant(geometry: Geometry, y: Fraction) -> Fraction:
     """Product of (1 - p) over all squares; p = y^d for a square of degree
     d (1 or 2), so it is one power of (1 - y^d) per degree."""
-    degrees = Counter(sum(geometry.variable_exponent(i, j)) for i, j in geometry.squares())
+    degrees = Counter(geometry.degree(i, j) for i, j in geometry.squares())
     return math.prod(
         ((1 - Fraction(y) ** d) ** count for d, count in degrees.items()), start=Fraction(1)
     )
 
 
 def exact_cdf(
-    geometry: Geometry, bound: int, y: Fraction, node_budget: int = 2_000_000
+    geometry: Geometry, bound: int, y: Fraction, node_budget: int = NODE_BUDGET
 ) -> Fraction:
     """Prob(L <= bound) as an exact rational.
 
@@ -177,7 +178,7 @@ def sample_passage_times(spec: GeometricSpec, n_samples: int) -> np.ndarray:
     y = float(spec.y)
     code = _GEOMETRY_CODE[geo.kind] << 48
     squares = [
-        ((code | s) & _MASK64, i, math.log(y ** sum(geo.variable_exponent(i, j))))
+        ((code | s) & _MASK64, i, math.log(y ** geo.degree(i, j)))
         for s, (i, j) in enumerate(geo.squares())
     ]
     chunks = [(a, min(a + _CHUNK, n_samples)) for a in range(0, n_samples, _CHUNK)]

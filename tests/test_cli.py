@@ -161,6 +161,33 @@ def test_rsk_inverse_round_trips_through_files(tmp_path):
     assert inv.stdout.strip() == fin.read_text().strip()
 
 
+def test_rsk_bytes_are_pinned(tmp_path, capsys):
+    # md5 of the forward and inverse stdout of 20 seeded fillings per
+    # geometry, as first recorded, when the CLI held its own pattern format
+    import random
+
+    from conftest import random_filling
+    from lppqs.cli import main
+    from lppqs.lpp import Geometry, lpp_time
+
+    rng = random.Random(15)
+    digest = hashlib.md5()
+    for t in range(20):
+        for kind in ("p2hlr", "p2l"):
+            f = random_filling(Geometry(kind, rng.randint(1, 5)), rng, max_entry=3, density=0.5)
+            bound = ["--u", str(lpp_time(f) + rng.randint(0, 2))] if kind == "p2hlr" else []
+            src, image = tmp_path / f"{kind}{t}.txt", tmp_path / f"{kind}{t}.pattern"
+            src.write_text(f.to_text())
+            assert main(["rsk", "--geometry", kind, *bound, "--input", str(src),
+                         "--output", str(image)]) == 0
+            assert main(["rsk", "--geometry", kind, *bound, "--direction", "inverse",
+                         "--input", str(image)]) == 0
+            back = capsys.readouterr().out
+            assert back == f.to_text()
+            digest.update((image.read_text() + back).encode())
+    assert digest.hexdigest() == "8a7ba15436917467917bbff0e02aac68"
+
+
 def test_rsk_negative_bound_is_a_usage_error(tmp_path):
     f = tmp_path / "w.txt"
     f.write_text("0\n0\n")
@@ -806,6 +833,9 @@ USAGE_ERRORS = {
                             "parameter must lie strictly between 0 and 1"),
     "simulate-y-above-one": (["simulate", "--n", "1", "--y", "1.5"],
                              "parameter must lie strictly between 0 and 1"),
+    "simulate-factorization-geometry": (["simulate", "--factorization", "--geometry", "p2l",
+                                         "--n", "3", "--samples", "100", "--y", "0.5"],
+                                        "--factorization takes no --geometry"),
 }
 
 

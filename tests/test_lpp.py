@@ -48,6 +48,17 @@ def test_square_counts(n):
         assert geo.squares() == [sq for sq in grid if geo.contains(*sq)]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_degree_is_the_total_exponent_of_a_square(kind):
+    for n in range(1, 8):
+        geo = Geometry(kind, n)
+        for i, j in geo.squares():
+            assert geo.degree(i, j) == sum(geo.variable_exponent(i, j)), (n, i, j)
+        # degree 1 on the reflecting diagonal only: n squares of p2hlr and p2pr
+        ones = [sq for sq in geo.squares() if geo.degree(*sq) == 1]
+        assert ones == ([] if kind == "p2l" else [(i, i) for i in range(1, n + 1)])
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         Geometry("p2x", 1)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lppqs.characters import character_jt
@@ -67,6 +69,19 @@ def test_pattern_validation():
         SpGTPattern([[1], [1], [1, 2]])  # odd number of rows
     with pytest.raises(ValueError):
         SpGTPattern([[1], [2], [2, 0], [2, 1], [3, 1], [3, 2, 1]])
+
+
+def test_pattern_text_round_trips():
+    assert GTPattern([[1], [2, 0]]).to_text() == "1\n2 0\n"
+    for kind, cls in (("ordinary", GTPattern), ("symplectic", SpGTPattern)):
+        for n in (1, 2, 3):
+            height = n if kind == "ordinary" else 2 * n
+            for parts in itertools.combinations_with_replacement((2, 1, 0), n):
+                for z in enumerate_patterns(kind, height, Partition(parts)):
+                    assert cls.from_text(z.to_text()) == z
+    for text in ("", "\n", " \n\n"):
+        with pytest.raises(ValueError, match="^empty pattern file$"):
+            GTPattern.from_text(text)
 
 
 def test_enumerate_single_row_forced():
