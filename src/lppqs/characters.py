@@ -1,11 +1,13 @@
 """Exact Laurent-polynomial arithmetic and classical character formulas.
 
-Characters of three families are computed two independent ways: as
-determinants of complete homogeneous symmetric functions, and by one walk of
-the pattern model of :mod:`lppqs.partitions`, row by row up the interlacing
-chains, memoized on the partition reached at each row.  The walk serves
-single characters and every sum of characters over a box of shapes.
-All arithmetic is exact (Python ints and fractions); no floats anywhere.
+Characters of three families are computed two independent ways: by one walk
+of the pattern model of :mod:`lppqs.partitions`, one level (one variable) at
+a time up the interlacing chains, memoized on the partition reached at each
+level; and as determinants of complete homogeneous symmetric functions.  The
+walk serves single characters and every sum of characters over a box of
+shapes; the determinant route (``character_jt``) is the oracle the tests
+compare it with.  All arithmetic is exact (Python ints and fractions); no
+floats anywhere.
 """
 
 from __future__ import annotations
@@ -296,18 +298,74 @@ class LaurentPolynomial:
     def canonical_text(self) -> str:
         if not self.terms:
             return "0"
+        # each key is decoded inline as in unpack_exponents, whose per-call
+        # set-up was half the time of this method on large polynomials
+        offset = _digit_offset(self.nvars)
+        names = [(f"x{i + 1}^", _SHIFT * (self.nvars - 1 - i)) for i in range(self.nvars)]
         pieces = []
         for key in sorted(self.terms):
             coef = self.terms[key]
-            exps = unpack_exponents(key, self.nvars)
-            factors = " ".join(
-                f"x{i + 1}^{e}" for i, e in enumerate(exps) if e != 0
-            )
+            key += offset
+            factors = " ".join([f"{name}{e}" for name, s in names
+                                if (e := ((key >> s) & _MASK) - _HALF)])
             pieces.append(f"{coef} * {factors}" if factors else str(coef))
         return " + ".join(pieces)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial<{self.nvars}>({self.canonical_text()})"
+
+
+def _kronecker_mul(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
+    """a * b for operands with non-negative coefficients, by Kronecker
+    substitution (Harvey, J. Symbolic Comput. 44, 2009).
+
+    Each operand becomes one int with a fixed-width slot per monomial of the
+    product's exponent box, so one int multiply forms every coefficient and
+    no slot carries into the next.  The box is dense, so this pays only for
+    dense products (two characters, or two generating series); sparse ones
+    stay with ``*``.  The result equals ``a * b``, exponent bound included.
+    """
+    if a.nvars != b.nvars:
+        raise ValueError(f"variable counts differ: {a.nvars} vs {b.nvars}")
+    n = a.nvars
+    bound = a.exponent_bound + b.exponent_bound
+    check_exponent_range(bound)
+    if not a.terms or not b.terms:
+        return LaurentPolynomial.from_packed(n, {}, bound)
+    if min(a.terms.values()) < 0 or min(b.terms.values()) < 0:
+        raise ValueError("Kronecker substitution needs non-negative coefficients")
+    exps_a = [unpack_exponents(key, n) for key in a.terms]
+    exps_b = [unpack_exponents(key, n) for key in b.terms]
+    cols_a, cols_b = list(zip(*exps_a)), list(zip(*exps_b))
+    lows_a, lows_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
+    # digit i of a slot index is the product's exponent of x_{i+1} above
+    # lows_a[i] + lows_b[i]; the first variable is the most significant
+    radices = [max(ca) - min(ca) + max(cb) - min(cb) + 1 for ca, cb in zip(cols_a, cols_b)]
+    strides = [1] * n
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * radices[i + 1]
+    # every product coefficient is at most this, so it fits a slot
+    top = min(sum(a.terms.values()) * max(b.terms.values()),
+              max(a.terms.values()) * sum(b.terms.values()))
+    width = max(1, (top.bit_length() + 7) // 8)
+
+    def pack(p: LaurentPolynomial, exps: list[ExponentVector], lows: list[int]) -> int:
+        slots = [sum((e - lo) * s for e, lo, s in zip(v, lows, strides)) for v in exps]
+        buf = bytearray(width * (max(slots) + 1))
+        for slot, coef in zip(slots, p.terms.values()):
+            buf[slot * width:(slot + 1) * width] = coef.to_bytes(width, "little")
+        return int.from_bytes(buf, "little")
+
+    product = pack(a, exps_a, lows_a) * pack(b, exps_b, lows_b)
+    data = product.to_bytes((product.bit_length() + 7) // 8, "little")
+    keys = [0]
+    for i, radix in enumerate(radices):
+        unit = 1 << (_SHIFT * (n - 1 - i))
+        low = lows_a[i] + lows_b[i]
+        keys = [key + (low + d) * unit for key in keys for d in range(radix)]
+    coefs = (int.from_bytes(data[j:j + width], "little") for j in range(0, len(data), width))
+    terms = {key: coef for key, coef in zip(keys, coefs) if coef}
+    return LaurentPolynomial.from_packed(n, terms, bound)
 
 
 # --- complete homogeneous symmetric functions -------------------------------
@@ -456,30 +514,76 @@ def _tableau_sum(family: str, n: int, shapes: Iterable[Partition]) -> LaurentPol
     Row r of a pattern adds cells weighing x_r (ordinary), or x_k and 1/x_k
     in rows 2k-1 and 2k (symplectic), so no exponent passes the shape's first
     part; so_lam is the sum of the sp_nu with lam/nu a vertical strip (Proctor).
+
+    The walk climbs one level per variable x_k, the one or two rows whose
+    cells weigh it.  It memoizes F_k[mu], the series of the chains
+    empty < ... < mu that end at the top of level k, as
+    F_k[mu] = sum over kappa of F_{k-1}[kappa] * P(x_k), where P counts the
+    chains kappa < ... < mu inside level k by the power of x_k they add:
+    x^(|mu| - |kappa|), or x^(2|nu| - |kappa| - |mu|) over the nu with
+    kappa < nu < mu.  The last level starts from every requested shape at
+    once, so each kappa below it is multiplied once for the whole sum.
     """
     if family not in (SCHUR, SYMPLECTIC, ODD_ORTHOGONAL):
         raise ValueError(f"unknown character family {family!r}")
     pattern = GTPattern if family == SCHUR else SpGTPattern
-    variables = ordinary_variables(n) if family == SCHUR else symplectic_variables(n)
-    steps = [pack_exponents(e) for e in variables]
+    # the rows of level k, top first, each as (the row below it, counted up
+    # from the top row of level k - 1; the sign of the power of x_k that the
+    # row's cells add)
+    rows = [(0, 1)] if family == SCHUR else [(1, -1), (0, 1)]
+    steps = [pack_exponents(e) for e in ordinary_variables(n)]
 
-    @functools.cache
-    def chains(mu: Partition, r: int) -> dict[int, int]:
-        """Packed series of the chains empty < l(1) < ... < l(r) = mu."""
-        if r == 0:
-            return {0: 1}  # reached from row 1 only with mu empty
+    def level(tops: dict[Partition, int], k: int) -> dict[int, int]:
+        """Packed series of the sum over mu of tops[mu] * F_k[mu], F_k[mu]
+        being the series of the chains that reach mu at the top of level k."""
+        if k == 0:
+            count = sum(tops.values())  # only the empty partition is here
+            return {0: count} if count else {}
+        # polys[kappa][e]: chains from a top down to kappa at the foot of
+        # level k that add x_k^e, weighted by tops
+        polys = {top: {0: c} for top, c in tops.items()}
+        for below, sign in rows:
+            max_len = pattern.row_length(len(rows) * (k - 1) + below)
+            lower: dict[Partition, dict[int, int]] = {}
+            for top, poly in polys.items():
+                size = top.size()
+                for kappa in _interlacings_below(top, max_len):
+                    d = sign * (size - kappa.size())
+                    counts = lower.setdefault(kappa, {})
+                    for e, c in poly.items():
+                        counts[e + d] = counts.get(e + d, 0) + c
+            polys = lower
+        # gather the coefficient of each power of x_k first: F_{k-1} holds
+        # no x_k, so the shifted sums below share no key
+        by_power: dict[int, dict[int, int]] = {}
+        for kappa, poly in polys.items():
+            prev = table(kappa, k - 1)
+            for e, c in poly.items():
+                acc = by_power.get(e)
+                if acc is None:
+                    by_power[e] = {key: c * coef for key, coef in prev.items()}
+                    continue
+                get = acc.get
+                for key, coef in prev.items():
+                    acc[key] = get(key, 0) + c * coef
+        step = steps[k - 1]
         out: dict[int, int] = {}
-        for kappa in _interlacings_below(mu, pattern.row_length(r - 1)):
-            shift = (mu.size() - kappa.size()) * steps[r - 1]
-            for key, coef in chains(kappa, r - 1).items():
-                out[key + shift] = out.get(key + shift, 0) + coef
+        for e, acc in by_power.items():
+            shift = e * step
+            out.update({key + shift: coef for key, coef in acc.items()})
         return out
 
-    total = LaurentPolynomial.zero(n)
+    @functools.cache
+    def table(mu: Partition, k: int) -> dict[int, int]:
+        return level({mu: 1}, k)
+
+    tops: dict[Partition, int] = {}
+    bound = 0
     for lam in shapes:
+        bound = max(bound, lam[0])
         for nu in _dual_subpartitions(lam) if family == ODD_ORTHOGONAL else (lam,):
-            total = total + LaurentPolynomial.from_packed(n, chains(nu, len(steps)), lam[0])
-    return total
+            tops[nu] = tops.get(nu, 0) + 1
+    return LaurentPolynomial.from_packed(n, level(tops, n), bound)
 
 
 def character_tab(family: str, lam, n: int) -> LaurentPolynomial:
@@ -525,9 +629,8 @@ def okada_product(u: int, n: int) -> tuple[LaurentPolynomial, LaurentPolynomial]
     """
     lhs = bounded_character_sum(SYMPLECTIC, u, n)
     s, t = u // 2, (u + 1) // 2
-    rhs = character_jt(SYMPLECTIC, Partition([s] * n), n) * character_jt(
-        ODD_ORTHOGONAL, Partition([t] * n), n
-    )
+    rhs = _kronecker_mul(character_tab(SYMPLECTIC, Partition([s] * n), n),
+                         character_tab(ODD_ORTHOGONAL, Partition([t] * n), n))
     return lhs, rhs
 
 

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import hashlib
+
 from lppqs.characters import (
     LaurentPolynomial as LP,
+    _kronecker_mul,
     bounded_character_sum,
     box_partitions,
     character_jt,
@@ -19,6 +22,8 @@ from lppqs.characters import (
     symplectic_variables,
     unpack_exponents,
 )
+from lppqs.cli import INSTANCE_SUITES
+from lppqs.lpp import Geometry, generating_series
 from lppqs.partitions import (
     Partition,
     SpGTPattern,
@@ -98,6 +103,14 @@ def test_character_jt_rejects_long_shapes():
         character_jt("schur", Partition([1, 1]), 1)
 
 
+@pytest.mark.parametrize("family", ["schur", "symplectic", "odd_orthogonal"])
+def test_character_tab_rejects_long_shapes(family):
+    for n in (0, 1, 2):
+        for fn in (character_tab, character_jt):
+            with pytest.raises(ValueError):
+                fn(family, Partition([1] * (n + 1)), n)
+
+
 def test_character_tab_examples():
     x1, x2 = LP.variable(0, 2), LP.variable(1, 2)
     assert character_tab("schur", Partition([1]), 2) == x1 + x2
@@ -149,7 +162,8 @@ FAMILIES = ["schur", "symplectic", "odd_orthogonal"]
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_character_tab_matches_enumerated_patterns(family):
-    cases = [(n, lam) for n in (1, 2, 3) for u in range(5) for lam in box_partitions(u, n)]
+    # n = 0 has the empty shape alone, whose character is 1
+    cases = [(n, lam) for n in (0, 1, 2, 3) for u in range(5) for lam in box_partitions(u, n)]
     cases += [(4, Partition([1, 1, 1, 1])), (4, Partition([2, 1, 1, 1]))]
     for n, lam in cases:
         tab = character_tab(family, lam, n)
@@ -189,15 +203,23 @@ def _box(rows, cols):
 @pytest.mark.parametrize("family", ["schur", "symplectic", "odd_orthogonal"])
 def test_det_equals_tab_small(family):
     # compared as text, which decodes every exponent vector
-    shapes = [(n, lam) for n in (1, 2, 3) for lam in _box(3, 2) if len(lam) <= n]
+    shapes = [(n, lam) for n in (0, 1, 2, 3) for lam in _box(3, 2) if len(lam) <= n]
     # 4x4 determinants
     shapes += [(4, Partition([1, 1, 1, 1])), (4, Partition([2, 1, 1, 1]))]
     if family != "schur":
         # the rectangles (v^n) of okada_product and the Stembridge instances
         shapes += [(n, Partition([v] * n)) for n in (1, 2, 3) for v in (1, 2, 3)]
+        shapes += [(4, Partition([v] * 4)) for v in (1, 2)]
     for n, lam in shapes:
         jt = character_jt(family, lam, n).canonical_text()
         assert jt == character_tab(family, lam, n).canonical_text(), (n, lam)
+
+
+def test_symplectic_box_sum_text_is_pinned():
+    # the md5 of this text as the row-by-row walk printed it, before the
+    # walk climbed one level per variable
+    text = bounded_character_sum("symplectic", 6, 4).canonical_text()
+    assert hashlib.md5(text.encode()).hexdigest() == "d76cbb9ff766a1dd0516ffa304f3ae31"
 
 
 def test_schur_symmetric_under_permutations():
@@ -433,3 +455,63 @@ def test_exponents_outside_the_packed_range_raise():
     )
     # powers stop squaring after the last bit, which would pass the range
     assert x ** (2**30) == LP.variable(0, 1, 2**30)
+
+
+# --- Kronecker substitution against the packed product ------------------------
+
+
+def random_nonnegative(rng, nvars, terms, exponent, coefficient):
+    return LP(nvars, {tuple(exponent() for _ in range(nvars)): coefficient()
+                      for _ in range(terms)})
+
+
+def assert_same_product(a, b):
+    got, want = _kronecker_mul(a, b), a * b
+    assert got.canonical_text() == want.canonical_text()
+    assert got.exponent_bound == a.exponent_bound + b.exponent_bound == want.exponent_bound
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3, 4])
+def test_kronecker_mul_matches_mul(rng, nvars):
+    exponent_kinds = [lambda: rng.randint(-3, 3), lambda: rng.randint(2, 6)]
+    coefficient_kinds = [lambda: rng.randint(0, 9), lambda: rng.randint(0, 10**30)]
+    for trial in range(60):
+        exponent = exponent_kinds[trial % 2]
+        coefficient = coefficient_kinds[trial // 2 % 2]
+        a = random_nonnegative(rng, nvars, rng.randint(0, 8), exponent, coefficient)
+        b = random_nonnegative(rng, nvars, rng.randint(0, 8), exponent, coefficient)
+        assert_same_product(a, b)
+        assert_same_product(a, LP.zero(nvars))
+        assert_same_product(LP.zero(nvars), b)
+        assert_same_product(a, LP.constant(7, nvars))
+
+
+def test_kronecker_mul_matches_mul_on_the_dense_products():
+    # okada_product's right side at every (u, n) <= (6, 3)
+    for n in (1, 2, 3):
+        for u in range(7):
+            assert_same_product(character_tab("symplectic", Partition([u // 2] * n), n),
+                                character_tab("odd_orthogonal", Partition([(u + 1) // 2] * n), n))
+    # the theorem suite's pr * pl at its default sizes
+    for n, u in INSTANCE_SUITES["theorem"][1]:
+        assert_same_product(generating_series(Geometry("p2pr", n), u),
+                            generating_series(Geometry("p2l", n), u // 2))
+
+
+def test_kronecker_mul_rejects_what_it_cannot_pack():
+    negative = LP(1, {(1,): 2, (0,): -1})
+    for a, b in ((negative, x), (x, negative)):
+        with pytest.raises(ValueError):
+            _kronecker_mul(a, b)
+    with pytest.raises(ValueError):
+        _kronecker_mul(LP.one(2), LP.one(1))
+    # the bound of the product guards the packed range exactly as * does
+    top = 2**31 - 1
+    edge = LP(2, {(top, -top): 1})
+    for a, b in ((edge, LP.variable(0, 2)),
+                 (LP.variable(1, 2, 2**30), LP.variable(1, 2, 2**30))):
+        with pytest.raises(OverflowError):
+            a * b
+        with pytest.raises(OverflowError):
+            _kronecker_mul(a, b)
+    assert_same_product(LP.variable(0, 1, 2**30 - 1), LP.variable(0, 1, 2**30))

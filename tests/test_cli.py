@@ -394,6 +394,17 @@ def test_verify_theorem_and_okada_at_four_by_four(capsys):
     assert (result["n"], result["u"], result["ok"]) == (4, 4, True)
 
 
+def test_okada_and_stembridge_instances_at_n_4():
+    # theorem (4, 4) is checked through main by the test above
+    from lppqs.cli import INSTANCE_SUITES
+    from lppqs.lpp import NODE_BUDGET
+
+    for scope, bounds in (("okada", range(7)), ("stembridge", range(0, 9, 2))):
+        check = INSTANCE_SUITES[scope][0]
+        for u in bounds:
+            assert check(4, u, NODE_BUDGET)["ok"], (scope, u)
+
+
 def test_cdf_rejects_negative_u_max():
     res = run_cli("cdf", "--geometry", "p2pr", "--n", "1", "--y", "1/2", "--u-max", "-3")
     assert res.returncode == 2
