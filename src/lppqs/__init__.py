@@ -12,7 +12,6 @@ from .characters import (
     box_partitions,
     character_jt,
     character_tab,
-    complete_homogeneous,
     okada_product,
     product_of_variables,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "character_jt",
     "character_tab",
     "col_rsk_local",
-    "complete_homogeneous",
     "degree_series",
     "enumerate_patterns",
     "exact_cdf",

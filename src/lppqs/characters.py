@@ -204,19 +204,6 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentPolynomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers")
-        result = LaurentPolynomial.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPolynomial.constant(other, self.nvars)
@@ -226,36 +213,6 @@ class LaurentPolynomial:
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    # substitutions
-    def _map_exponents(self, change) -> "LaurentPolynomial":
-        terms: dict[int, int] = {}
-        for key, coef in self.terms.items():
-            terms[pack_exponents(change(unpack_exponents(key, self.nvars)))] = coef
-        return LaurentPolynomial.from_packed(self.nvars, terms, self.exponent_bound)
-
-    def invert_variable(self, index: int) -> "LaurentPolynomial":
-        """Substitute x_{index+1} -> 1/x_{index+1}."""
-
-        def change(exps):
-            e = list(exps)
-            e[index] = -e[index]
-            return e
-
-        return self._map_exponents(change)
-
-    def permute_variables(self, perm: Sequence[int]) -> "LaurentPolynomial":
-        """Substitute x_{k+1} -> x_{perm[k]+1} for each k."""
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError(f"not a permutation of 0..{self.nvars - 1}: {perm}")
-
-        def change(exps):
-            e = [0] * self.nvars
-            for k, x in enumerate(exps):
-                e[perm[k]] = x
-            return e
-
-        return self._map_exponents(change)
 
     def specialize(self, values: Sequence[Fraction | int]) -> Fraction:
         """Exact evaluation at non-zero rationals (zero allowed only where no
@@ -395,17 +352,6 @@ def symplectic_variables(n: int) -> list[ExponentVector]:
 def odd_orthogonal_variables(n: int) -> list[ExponentVector]:
     """x_1, 1/x_1, ..., x_n, 1/x_n, 1."""
     return symplectic_variables(n) + [(0,) * n]
-
-
-def complete_homogeneous(
-    k: int, monomials: Sequence[ExponentVector], nvars: int
-) -> LaurentPolynomial:
-    """h_k of the listed monomials: sum over all size-k multisets of products.
-
-    h_k = 0 for k < 0 and h_0 = 1, matching the generating series
-    prod_i 1/(1 - m_i z).
-    """
-    return _h_table(monomials, nvars, max(k, 0))(k)
 
 
 def _h_table(monomials, nvars, top):

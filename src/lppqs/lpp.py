@@ -48,16 +48,6 @@ class Geometry:
         self.kind = kind
         self.n = int(n)
 
-    def contains(self, i: int, j: int) -> bool:
-        if i < 1 or j < 1:
-            return False
-        n = self.n
-        if self.kind == P2HLR:
-            return i <= j and i + j <= 2 * n + 1
-        if self.kind == P2PR:
-            return i <= j <= n
-        return i + j <= n + 1
-
     def squares(self) -> list[tuple[int, int]]:
         """All squares, sorted row-major (j ascending, then i)."""
         n = self.n
@@ -73,14 +63,6 @@ class Geometry:
         """1 on the reflecting diagonal of p2hlr/p2pr, else 2: the square's total
         degree; its weight parameter at every x_i = y is y^degree."""
         return 1 if i == j and self.kind != P2L else 2
-
-    def terminal_squares(self) -> list[tuple[int, int]]:
-        n = self.n
-        if self.kind == P2HLR:
-            return [(i, 2 * n + 1 - i) for i in range(1, n + 1)]
-        if self.kind == P2PR:
-            return [(n, n)]
-        return [(i, n + 1 - i) for i in range(1, n + 1)]
 
     def row_variable(self, j: int) -> int:
         """0-based index of the variable attached to row j."""
@@ -161,7 +143,7 @@ class Filling:
         lines = []
         for j in range(jmax, 0, -1):
             cells = [
-                str(self.weights[(i, j)]) if geo.contains(i, j) else "-"
+                str(self.weights[(i, j)]) if (i, j) in self.weights else "-"
                 for i in range(1, n + 1)
             ]
             lines.append(" ".join(cells))
@@ -177,6 +159,7 @@ class Filling:
         jmax = 2 * n if kind == P2HLR else n
         if len(rows) != jmax:
             raise ValueError(f"expected {jmax} lines for {kind} n={n}")
+        support = set(geo.squares())
         weights = {}
         for line_no, cells in enumerate(rows):
             j = jmax - line_no
@@ -184,7 +167,7 @@ class Filling:
                 raise ValueError(f"line {line_no + 1}: expected {n} cells")
             for idx, cell in enumerate(cells):
                 i = idx + 1
-                if geo.contains(i, j):
+                if (i, j) in support:
                     if cell == "-":
                         raise ValueError(f"square ({i}, {j}) is inside the domain")
                     weights[(i, j)] = int(cell)

@@ -32,7 +32,6 @@ from typing import Sequence
 from .lpp import KINDS, NODE_BUDGET, Geometry, degree_series
 
 _GEOMETRY_CODE = {kind: idx + 1 for idx, kind in enumerate(KINDS)}
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,9 @@ class GeometricSpec:
     def __post_init__(self):
         if not 0 < self.y < 1:
             raise ValueError("y must lie strictly between 0 and 1")
+        # the seed is the first Philox key word, 64 bits wide
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must lie between 0 and 2**64 - 1")
 
     @property
     def q(self) -> Fraction | float:
@@ -178,7 +180,7 @@ def sample_passage_times(spec: GeometricSpec, n_samples: int) -> np.ndarray:
     y = float(spec.y)
     code = _GEOMETRY_CODE[geo.kind] << 48
     squares = [
-        ((code | s) & _MASK64, i, math.log(y ** geo.degree(i, j)))
+        (code | s, i, math.log(y ** geo.degree(i, j)))
         for s, (i, j) in enumerate(geo.squares())
     ]
     chunks = [(a, min(a + _CHUNK, n_samples)) for a in range(0, n_samples, _CHUNK)]
@@ -188,7 +190,7 @@ def sample_passage_times(spec: GeometricSpec, n_samples: int) -> np.ndarray:
 
     def work(k: int) -> None:
         try:
-            _sample_chunks(squares, spec.seed & _MASK64, geo.n, chunks[k::workers], out, stop)
+            _sample_chunks(squares, spec.seed, geo.n, chunks[k::workers], out, stop)
         except BaseException as exc:  # joined and re-raised by the caller
             stop.append(exc)
 

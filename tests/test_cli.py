@@ -301,6 +301,20 @@ def test_simulate_bytes_are_pinned(capsys, args, digest):
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_simulate_seed_range_ends_draw_different_samples(capsys):
+    # 0 and 2**64 - 1 are the ends of the 64-bit Philox key word; a seed
+    # past them is a usage error, not a wrap onto one of these
+    from lppqs.cli import main
+
+    outputs = []
+    for seed in ("0", str(2**64 - 1)):
+        assert main(["simulate", "--n", "3", "--y", "0.5", "--samples", "50",
+                     "--seed", seed, "--format", "csv"]) == 0
+        outputs.append(capsys.readouterr().out)
+    # the csv is the empirical cdf alone, with no seed field
+    assert outputs[0] != outputs[1]
+
+
 def test_simulate_rejects_conflicting_parameters():
     res = run_cli("simulate", "--n", "2", "--q", "0.5", "--y", "0.5")
     assert res.returncode == 2
@@ -773,7 +787,8 @@ def test_exit_codes_on_drawn_arguments(tmp_path):
 
 
 # Every usage error the subcommands detect themselves: argv (INPUT, BAD,
-# EMPTY, MATRIX and MISSING name files made by the test) and the exact stderr.
+# EMPTY, MATRIX and MISSING name files made by the test; a leading NAME=VALUE
+# sets that environment variable) and the exact stderr.
 USAGE_ERRORS = {
     "verify-greene-n-u": (["verify", "--scope", "greene", "--n", "1", "--u", "2"],
                           "--scope greene takes no --n or --u"),
@@ -847,13 +862,30 @@ USAGE_ERRORS = {
     "simulate-factorization-geometry": (["simulate", "--factorization", "--geometry", "p2l",
                                          "--n", "3", "--samples", "100", "--y", "0.5"],
                                         "--factorization takes no --geometry"),
+    "simulate-seed-negative": (["simulate", "--n", "3", "--y", "0.5", "--seed", "-1"],
+                               "seed must lie between 0 and 2**64 - 1"),
+    "simulate-seed-2-64": (["simulate", "--n", "3", "--y", "0.5",
+                            "--seed", "18446744073709551616"],
+                           "seed must lie between 0 and 2**64 - 1"),
+    "simulate-env-seed-negative": (["LPPQS_SEED=-1", "simulate", "--n", "3", "--y", "0.5"],
+                                   "seed must lie between 0 and 2**64 - 1"),
+    "simulate-env-seed-2-64": (["LPPQS_SEED=18446744073709551616",
+                                "simulate", "--n", "3", "--y", "0.5"],
+                               "seed must lie between 0 and 2**64 - 1"),
+    "simulate-factorization-seed-negative": (["simulate", "--factorization", "--n", "3",
+                                              "--y", "0.5", "--seed", "-1"],
+                                             "seed must lie between 0 and 2**64 - 1"),
 }
 
 
 @pytest.mark.parametrize("argv,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
-def test_usage_error_messages_are_pinned(argv, message, tmp_path, capsys):
+def test_usage_error_messages_are_pinned(argv, message, tmp_path, capsys, monkeypatch):
     from lppqs.cli import main
 
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     files = {"INPUT": "3\n", "BAD": "1 x\n", "EMPTY": "\n", "MATRIX": "1 2\n0 3\n"}
     names = {"MISSING": str(tmp_path / "missing.txt")}
     for name, text in files.items():

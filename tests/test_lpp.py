@@ -1,12 +1,15 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    in_domain,
     lpp_time_by_paths,
     random_bounded_filling,
     random_filling,
+    terminal_set,
 )
 from lppqs.characters import (
     LaurentPolynomial as LP,
@@ -36,16 +39,21 @@ from lppqs.probability import exact_cdf, normalization_constant
 x = LP.variable(0, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_square_counts(n):
     assert len(Geometry("p2hlr", n).squares()) == n * n + n
     assert len(Geometry("p2pr", n).squares()) == n * (n + 1) // 2
     assert len(Geometry("p2l", n).squares()) == n * (n + 1) // 2
-    # each row's squares straight from the domain's bounds, as contains reads them
-    for kind in ("p2hlr", "p2pr", "p2l"):
-        geo = Geometry(kind, n)
-        grid = [(i, j) for j in range(1, 2 * n + 2) for i in range(1, 2 * n + 2)]
-        assert geo.squares() == [sq for sq in grid if geo.contains(*sq)]
+    # row-major, straight from the domain's inequalities
+    grid = [(i, j) for j in range(1, 2 * n + 2) for i in range(1, 2 * n + 2)]
+    for kind in KINDS:
+        squares = Geometry(kind, n).squares()
+        assert squares == [sq for sq in grid if in_domain(kind, n, *sq)]
+        # the terminal set is where no up-right step stays in the domain
+        inside = set(squares)
+        sinks = [(i, j) for i, j in squares
+                 if (i + 1, j) not in inside and (i, j + 1) not in inside]
+        assert sinks == terminal_set(kind, n)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -100,9 +108,9 @@ def test_column_frontier_invariants(kind):
             rows = [j for c, j in squares if c == i]
             assert rows == list(range(rows[0], rows[0] + len(rows)))
         # a square east of column 1 has its west neighbour in the domain
-        assert all(geo.contains(i - 1, j) for i, j in squares if i >= 2)
+        assert all((i - 1, j) in squares for i, j in squares if i >= 2)
         # every square reaches a terminal square by up-right steps
-        terminals = set(geo.terminal_squares())
+        terminals = set(terminal_set(kind, n))
         reach = set()
         for i, j in reversed(squares):
             if (i, j) in terminals or (i + 1, j) in reach or (i, j + 1) in reach:
@@ -133,9 +141,10 @@ def test_weight_of_row_assignment():
 
 def test_generating_series_examples():
     assert generating_series(Geometry("p2pr", 2), 0) == LP.one(2)
-    assert generating_series(Geometry("p2hlr", 1), 2) == 1 + x + 2 * x**2 + x**3 + x**4
-    assert generating_series(Geometry("p2pr", 1), 2) == 1 + x + x**2
-    assert generating_series(Geometry("p2l", 1), 1) == 1 + x**2
+    x2 = x * x
+    assert generating_series(Geometry("p2hlr", 1), 2) == 1 + x + 2 * x2 + x2 * x + x2 * x2
+    assert generating_series(Geometry("p2pr", 1), 2) == 1 + x + x2
+    assert generating_series(Geometry("p2l", 1), 1) == 1 + x2
     # 1640 squares, deeper than Python's default recursion limit
     assert generating_series(Geometry("p2hlr", 40), 0) == LP.one(40)
 
@@ -332,9 +341,27 @@ def test_filling_text_round_trip(rng):
         assert Filling.from_text(kind, f.to_text()) == f
 
 
+def test_filling_text_is_pinned():
+    # the bytes of one seeded n = 3 filling per kind; '-' marks squares
+    # outside the domain
+    pinned = {
+        "p2hlr": "1 - -\n0 1 -\n0 2 0\n1 0 0\n2 0 -\n1 - -\n",
+        "p2pr": "1 0 0\n2 0 -\n1 - -\n",
+        "p2l": "0 - -\n1 0 -\n1 2 0\n",
+    }
+    for kind, text in pinned.items():
+        f = random_filling(Geometry(kind, 3), random.Random(3))
+        assert f.to_text() == text
+        assert Filling.from_text(kind, text) == f
+
+
 def test_filling_text_errors():
-    with pytest.raises(ValueError):
-        Filling.from_text("p2l", "1 2\n3 4\n")  # square outside the domain
+    with pytest.raises(ValueError) as exc:
+        Filling.from_text("p2l", "1 2\n3 4\n")
+    assert str(exc.value) == "square (2, 2) is outside the domain"
+    with pytest.raises(ValueError) as exc:
+        Filling.from_text("p2pr", "- 1\n0 -\n")
+    assert str(exc.value) == "square (1, 2) is inside the domain"
     with pytest.raises(ValueError):
         Filling.from_text("p2pr", "- -\n1\n")  # short line
     with pytest.raises(ValueError):
