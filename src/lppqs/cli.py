@@ -346,11 +346,8 @@ def cmd_cdf(args) -> int:
         raise ValueError("--y must lie strictly between 0 and 1")
     if args.u_max < 0:
         raise ValueError("--u-max must be non-negative")
-    node_budget = _int_default(args.node_budget, "LPPQS_NODE_BUDGET", NODE_BUDGET)
     geo = Geometry(args.geometry, args.n)
-    rows = []
-    for u in range(0, args.u_max + 1):
-        rows.append((u, exact_cdf(geo, u, y, node_budget=node_budget)))
+    rows = [(u, exact_cdf(geo, u, y)) for u in range(0, args.u_max + 1)]
     if args.format == "json":
         out = {
             "geometry": args.geometry,
@@ -508,9 +505,8 @@ def _parser() -> tuple[argparse.ArgumentParser, list]:
     for p in (verify, simulate):
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (env LPPQS_SEED)")
-    for p in (verify, cdf):
-        p.add_argument("--node-budget", type=int, default=None,
-                       help="generating-series node budget (env LPPQS_NODE_BUDGET)")
+    verify.add_argument("--node-budget", type=int, default=None,
+                        help="generating-series node budget (env LPPQS_NODE_BUDGET)")
 
     return parser, env_defaults
 

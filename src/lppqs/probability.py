@@ -5,9 +5,8 @@ with p the product of the square's row and column parameters at x_i = y:
 p = y^d for the square's Geometry.degree d, so p = y^2 off the reflecting
 diagonal and p = y on it (q := y^2).
 
-Exact CDFs multiply the bounded degree series (the generating series with
-every x_i set to one variable t), evaluated at t = y, by the total
-normalization prod_squares (1 - p); everything stays rational.
+Exact CDFs are rectangle characters at x_1 = ... = x_n = y, times the
+total normalization prod_squares (1 - p); everything stays rational.
 Sampling is vectorized and fully deterministic: the stream of square s of a
 geometry is Philox keyed by (seed, geometry_code * 2^48 + s), and weights
 come from the closed-form inverse CDF floor(log U / log p) with a guard at
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .lpp import KINDS, NODE_BUDGET, Geometry, degree_series
+from .lpp import KINDS, Geometry, degree_series
 
 _GEOMETRY_CODE = {kind: idx + 1 for idx, kind in enumerate(KINDS)}
 
@@ -82,19 +81,98 @@ def normalization_constant(geometry: Geometry, y: Fraction) -> Fraction:
     )
 
 
-def exact_cdf(
-    geometry: Geometry, bound: int, y: Fraction, node_budget: int = NODE_BUDGET
-) -> Fraction:
-    """Prob(L <= bound) as an exact rational.
+def _rectangle_character(family: str, n: int, s: int, y: Fraction) -> Fraction:
+    """The symplectic or odd_orthogonal character of the rectangle (s^n) at
+    x_1 = ... = x_n = y, exactly.
 
-    The bounded degree series at t = y, times the normalization: p depends
-    on a square's total degree only, so the law needs no more of the series.
+    The Koike-Terada determinant of characters.character_jt, on ints.  With
+    y = p/q, H_k = (pq)^k h_k(y^n, y^-n) is the z^k coefficient of
+    1/((1 - p^2 z)^n (1 - q^2 z)^n), and of one more factor 1/(1 - pqz) for
+    odd_orthogonal (its variable 1).  Scaling row i (from 0) by
+    (pq)^(s - i + n - 1) and column j by (pq)^(j + 1 - n) leaves the int
+    entries H_(s-i+j) + (pq)^(2j) H_(s-i-j) (symplectic, j >= 1) and
+    H_(s-i+j) - (pq)^(2j+2) H_(s-i-j-2) (odd_orthogonal), and the scales
+    multiply to (pq)^(ns).  One fraction-free Bareiss elimination takes the
+    determinant.
+    """
+    if s == 0:
+        return Fraction(1)  # the empty shape
+    p, q = y.numerator, y.denominator
+    pq = p * q
+    top = s + n - 1
+
+    def inverse_power(a: int) -> list[int]:
+        # z^k coefficient of (1 - a z)^-n: C(n - 1 + k, k) a^k
+        coefs = [1]
+        for k in range(1, top + 1):
+            coefs.append(coefs[-1] * a * (n - 1 + k) // k)
+        return coefs
+
+    left, right = inverse_power(p * p), inverse_power(q * q)
+    h = [sum(left[a] * right[k - a] for a in range(k + 1)) for k in range(top + 1)]
+    if family == "odd_orthogonal":
+        for k in range(1, top + 1):
+            h[k] += pq * h[k - 1]
+
+    def at(k: int) -> int:
+        return h[k] if k >= 0 else 0
+
+    if family == "symplectic":
+        mat = [[at(s - i)] + [at(s - i + j) + pq ** (2 * j) * at(s - i - j) for j in range(1, n)]
+               for i in range(n)]
+    else:
+        mat = [[at(s - i + j) - pq ** (2 * j + 2) * at(s - i - j - 2) for j in range(n)]
+               for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            swap = next((r for r in range(k + 1, n) if mat[r][k]), None)
+            if swap is None:
+                return Fraction(0)
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        pivot_row = mat[k]
+        pivot = pivot_row[k]
+        for row in mat[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
+        prev = pivot
+    return Fraction(sign * mat[-1][-1], pq ** (n * s))
+
+
+def exact_cdf(geometry: Geometry, bound: int, y: Fraction) -> Fraction:
+    """Prob(L <= bound) as an exact rational, from rectangle characters.
+
+    At x_i = y the bounded p2l series is y^(ns) sp_(s^n) and the bounded
+    p2pr series at bound 2t is y^(nt) so_(t^n), through the Schur box sums
+    that verify's theorem and stembridge suites check.  At bound 2s + 1 the
+    p2pr law is the p2l law at s, by the spin identity behind Okada's
+    rectangle sums (J. Algebra 205, 1998).  The p2hlr law is the product of
+    the p2pr laws at bound and bound + 1, the quarter-square factorization
+    at even bound.  With norm each geometry's normalization_constant:
+
+        P_l(s) = norm_l * y^(ns) * sp_(s^n)(y)
+        P_pr(2t) = norm_pr * y^(nt) * so_(t^n)(y)
+        P_pr(2s + 1) = P_l(s)
+        P_hlr(u) = P_pr(u) * P_pr(u + 1)
     """
     y = Fraction(y)
     if not 0 < y < 1:
         raise ValueError("y must lie strictly between 0 and 1")
-    value = degree_series(geometry, bound, node_budget=node_budget).specialize([y])
-    return normalization_constant(geometry, y) * value
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    n = geometry.n
+    if geometry.kind == "p2hlr":
+        pr = Geometry("p2pr", n)
+        return exact_cdf(pr, bound, y) * exact_cdf(pr, bound + 1, y)
+    if geometry.kind == "p2pr" and bound % 2 == 0:
+        t = bound // 2
+        character = _rectangle_character("odd_orthogonal", n, t, y)
+        return normalization_constant(geometry, y) * y ** (n * t) * character
+    s = bound // 2 if geometry.kind == "p2pr" else bound
+    character = _rectangle_character("symplectic", n, s, y)
+    return normalization_constant(Geometry("p2l", n), y) * y ** (n * s) * character
 
 
 # --- sampling -----------------------------------------------------------------
@@ -324,7 +402,9 @@ def factorization_report(
     """Check Prob(L_hlr <= u) = Prob(L_pr <= u) * Prob(L_l <= u/2).
 
     exact mode: rational equality at each even u (odd u is rejected: u/2 is
-    not integral).  monte_carlo mode: three independent seeded runs and the
+    not integral), the left side by enumeration, the normalization times the
+    p2hlr degree series at y, so that it does not take exact_cdf's route.
+    monte_carlo mode: three independent seeded runs and the
     sup distance between the empirical left side and the product of the
     right sides over even u.
     """
@@ -332,15 +412,14 @@ def factorization_report(
         ys = Fraction(y)
         if u_values is None:
             u_values = range(0, 9, 2)
+        hlr, pr, pl = (Geometry(kind, n) for kind in ("p2hlr", "p2pr", "p2l"))
         checks = []
         all_equal = True
         for u in u_values:
             if u % 2:
                 raise ValueError(f"exact factorization is stated for even u, got {u}")
-            lhs = exact_cdf(Geometry("p2hlr", n), u, ys)
-            rhs = exact_cdf(Geometry("p2pr", n), u, ys) * exact_cdf(
-                Geometry("p2l", n), u // 2, ys
-            )
+            lhs = normalization_constant(hlr, ys) * degree_series(hlr, u).specialize([ys])
+            rhs = exact_cdf(pr, u, ys) * exact_cdf(pl, u // 2, ys)
             equal = lhs == rhs
             all_equal = all_equal and equal
             checks.append(

@@ -77,11 +77,37 @@ def test_cdf_rejects_bad_parameter():
 
 
 def test_cdf_budget_exceeded_exit_code():
-    res = run_cli(
-        "cdf", "--geometry", "p2hlr", "--n", "3", "--y", "1/2", "--u-max", "4",
-        "--node-budget", "10",
-    )
+    # cdf walks no fillings, so it has no node budget: the run that once
+    # exceeded a budget of 10 nodes prints the walk's values
+    from lppqs.lpp import Geometry, degree_series
+    from lppqs.probability import normalization_constant
+
+    argv = ["cdf", "--geometry", "p2hlr", "--n", "3", "--y", "1/2", "--u-max", "4"]
+    res = run_cli(*argv)
+    assert res.returncode == 0
+    geo, y = Geometry("p2hlr", 3), Fraction(1, 2)
+    walked = [normalization_constant(geo, y) * degree_series(geo, u).specialize([y])
+              for u in range(5)]
+    assert res.stdout.splitlines() == [f"P(L <= {u}) = {p}" for u, p in enumerate(walked)]
+    res = run_cli(*argv, "--node-budget", "10")
     assert res.returncode == 2
+    assert res.stdout == ""
+    assert "unrecognized arguments: --node-budget 10" in res.stderr
+
+
+def test_cdf_never_walks(monkeypatch, capsys):
+    import lppqs.lpp
+    from lppqs.cli import main
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("cdf reached the frontier walk")
+
+    monkeypatch.setattr(lppqs.lpp, "_frontier_walk", no_walk)
+    for geometry in ("p2hlr", "p2pr", "p2l"):
+        assert main(["cdf", "--geometry", geometry, "--n", "7", "--y", "7/10",
+                     "--u-max", "8"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 9
 
 
 def test_exponent_overflow_is_a_usage_error():
@@ -585,7 +611,6 @@ options:
 """,
     "cdf": """usage: lppqs cdf [-h] --geometry {p2hlr,p2pr,p2l} --n N --y Y --u-max U_MAX
                  [--output OUTPUT] [--format {text,json,csv}]
-                 [--node-budget NODE_BUDGET]
 
 options:
   -h, --help            show this help message and exit
@@ -596,8 +621,6 @@ options:
   --output OUTPUT       output file, '-' = stdout (env LPPQS_OUTPUT)
   --format {text,json,csv}
                         output format (env LPPQS_FORMAT)
-  --node-budget NODE_BUDGET
-                        generating-series node budget (env LPPQS_NODE_BUDGET)
 """,
 }
 
@@ -759,7 +782,6 @@ def test_exit_codes_on_drawn_arguments(tmp_path):
                 "--n", str(draw(st.integers(-1, 3))),
                 "--y", draw(st.sampled_from(["1/2", "7/10", "0", "3/2", "1/0", "abc"])),
                 "--u-max", str(draw(st.integers(-1, 4)))]
-        argv += flag(draw, "--node-budget", budget)
         return argv + flag(draw, "--format", formats)
 
     @st.composite

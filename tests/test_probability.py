@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import lpp_time_by_paths
-from lppqs.lpp import KINDS, Filling, Geometry, lpp_time
+from lppqs.characters import character_tab
+from lppqs.lpp import KINDS, Filling, Geometry, degree_series, lpp_time
+from lppqs.partitions import Partition
 import lppqs.probability as probability
 from lppqs.probability import (
     _CHUNK,
+    _rectangle_character,
     GeometricSpec,
     exact_cdf,
     factorization_report,
@@ -98,6 +101,48 @@ def test_factorization_exact():
             assert rep["all_equal"]
             assert len(rep["checks"]) == 5
             assert all(c["lhs"] == c["rhs"] for c in rep["checks"])
+
+
+# (n, u) ranges where the walk is cheap; together about 0.5 s
+ENUMERATION_RANGES = {"p2hlr": (4, 8), "p2pr": (5, 8), "p2l": (5, 4)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_cdf_matches_enumeration(kind):
+    n_max, u_max = ENUMERATION_RANGES[kind]
+    for n in range(1, n_max + 1):
+        geo = Geometry(kind, n)
+        for u in range(u_max + 1):
+            series = degree_series(geo, u)
+            for y in (HALF, Fraction(7, 10), THIRD):
+                expected = normalization_constant(geo, y) * series.specialize([y])
+                assert exact_cdf(geo, u, y) == expected, (n, u, y)
+
+
+@pytest.mark.parametrize("family", ["symplectic", "odd_orthogonal"])
+def test_rectangle_character_matches_tableau_sum(family):
+    for n in (1, 2, 3):
+        for s in range(4):
+            character = character_tab(family, Partition([s] * n), n)
+            for y in (HALF, Fraction(7, 10), THIRD):
+                assert _rectangle_character(family, n, s, y) == character.specialize(
+                    [y] * n
+                ), (n, s, y)
+
+
+def test_exact_factorization_reads_the_enumeration(monkeypatch):
+    # one coefficient off in the walk's series must show as a failed check
+    def off_by_one(geometry, bound, **kwargs):
+        series = degree_series(geometry, bound, **kwargs)
+        top = max(series.terms)
+        series.terms[top] += 1
+        return series
+
+    assert factorization_report(2, HALF, "exact", u_values=[4])["all_equal"]
+    monkeypatch.setattr(probability, "degree_series", off_by_one)
+    rep = factorization_report(2, HALF, "exact", u_values=[4])
+    assert not rep["all_equal"]
+    assert rep["checks"][0]["lhs"] != rep["checks"][0]["rhs"]
 
 
 def test_factorization_rejects_odd_u():
@@ -261,6 +306,22 @@ def test_monte_carlo_within_dkw_band():
             for u in range(0, 7):
                 exact = float(exact_cdf(Geometry(kind, n), u, HALF))
                 assert abs(rep.cdf_at(u) - exact) <= eps, (kind, n, u)
+
+
+def test_exact_cdf_within_dkw_band_past_the_walk():
+    # n = 12 is far past what enumeration reaches; the 99% DKW band holds
+    # between the 5% and 95% quantiles
+    n_samples = 40_000
+    eps = math.sqrt(math.log(2 / 0.01) / (2 * n_samples))
+    y = Fraction(7, 10)
+    for kind in KINDS:
+        geo = Geometry(kind, 12)
+        rep = sample_lpp(GeometricSpec(0.7, geo, seed=3), n_samples)
+        low = next(u for u, p in rep.cdf if p >= 0.05)
+        high = next(u for u, p in rep.cdf if p >= 0.95)
+        for u in range(low, high + 1):
+            exact = float(exact_cdf(geo, u, y))
+            assert abs(rep.cdf_at(u) - exact) <= eps, (kind, u)
 
 
 def test_tiny_parameter_concentrates_at_zero():
